@@ -147,9 +147,6 @@ func (s *server) buildJob(req jobSubmitRequest) (jobs.Request, error) {
 			return jobs.Request{}, err
 		}
 		if req.Timeline {
-			if err := checkTimeline(prog, cfg.Instructions); err != nil {
-				return jobs.Request{}, err
-			}
 			cfg.Timeline.Enabled = true
 		}
 		jr.Instructions = cfg.Instructions
@@ -170,9 +167,6 @@ func (s *server) buildJob(req jobSubmitRequest) (jobs.Request, error) {
 			return jobs.Request{}, err
 		}
 		if req.Timeline {
-			if err := checkTimeline(prog, cfg.Instructions); err != nil {
-				return jobs.Request{}, err
-			}
 			cfg.Timeline.Enabled = true
 		}
 		if cfg == sim.BaselineSimConfig(cfg) {

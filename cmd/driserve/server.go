@@ -191,8 +191,9 @@ func (s *server) persistMetrics() persistMetrics {
 // engine's batch scheduler (how sweep traffic grouped into shared-decode
 // batches and how many stream decode passes that saved) plus the
 // process-wide executor counters underneath it (lock-step passes actually
-// run, including lanes from non-engine callers, and store-bypass
-// fallbacks).
+// run, including lanes from non-engine callers, and fallbacks: the lane
+// simulations fed by the trace generator because the replay store bypassed
+// their stream).
 type laneMetrics struct {
 	Groups        uint64 `json:"groups"`
 	Batches       uint64 `json:"batches"`
@@ -709,22 +710,6 @@ func summarize(res *sim.Result) resultSummary {
 // with ?timeline=1.
 func wantTimeline(r *http.Request) bool { return r.URL.Query().Get("timeline") == "1" }
 
-// checkTimeline gates a ?timeline=1 request on the replay path being
-// available: the interval recorder only runs in the fused/lane executors,
-// which require the trace store to hold (or admit) the stream. A stream
-// the store would bypass falls back to the generic loop with no interval
-// sampling, so the request is rejected up front instead of silently
-// returning an empty timeline.
-func checkTimeline(prog trace.Program, instrs uint64) error {
-	if trace.SharedStore().WouldBypass(prog, instrs) {
-		return fmt.Errorf(
-			"timeline=1 unavailable: stream %q at %d instructions bypasses the trace replay store "+
-				"(interval sampling requires the replay path); lower instructions or raise the store budget",
-			prog.Name, instrs)
-	}
-	return nil
-}
-
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, ent := s.progressCtx(r)
 	outcome := "error"
@@ -737,10 +722,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantTimeline(r) {
-		if err := checkTimeline(prog, cfg.Instructions); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		cfg.Timeline.Enabled = true
 	}
 	res, cached, err := s.eng.RunCachedCtx(ctx, cfg, prog)
@@ -851,10 +832,6 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantTimeline(r) {
-		if err := checkTimeline(prog, cfg.Instructions); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		// BaselineSimConfig keeps Timeline, so both sides record.
 		cfg.Timeline.Enabled = true
 	}

@@ -3,8 +3,8 @@ package main
 // httptest coverage of the live progress stream: request IDs propagate into
 // every event payload, a fast already-finished run still replays its full
 // event history, a disconnecting client releases its subscription, and a
-// timeline request the replay path cannot serve is rejected up front with a
-// structured 400.
+// timeline request on a stream the replay store bypasses returns the same
+// series as on a warm store.
 
 import (
 	"bufio"
@@ -12,12 +12,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dricache/internal/engine"
+	"dricache/internal/trace"
 )
 
 // sseMessage is one parsed SSE frame.
@@ -382,18 +384,50 @@ func TestSlowSubscriberStreamEndsWithDrop(t *testing.T) {
 	}
 }
 
-// TestTimelineBypassRejected asks for interval recording on a stream the
-// trace replay store would refuse to admit; the request must fail up front
-// with a structured 400 rather than silently returning no timeline.
-func TestTimelineBypassRejected(t *testing.T) {
-	// A budget beyond the store's admission threshold (store budget / 4
-	// at ~8 bytes per instruction) forces the generic no-replay path.
-	ts := httptest.NewServer(newServer(engine.New(0), 100_000_000))
-	t.Cleanup(ts.Close)
-	out := postJSON(t, ts.URL+"/v1/run?timeline=1",
-		`{"benchmark":"applu","instructions":50000000}`, http.StatusBadRequest)
-	msg, _ := out["error"].(string)
-	if !strings.Contains(msg, "timeline=1 unavailable") {
-		t.Fatalf("error %q does not explain the bypass", msg)
+// TestTimelineOnStoreBypass asks for interval recording with the trace
+// replay store disabled, so every stream is generated and fed to the lane
+// executor through the chunk adapter. /v1/run?timeline=1 and
+// /v1/compare?timeline=1 must succeed and return exactly the series the
+// same requests return over a warm store.
+func TestTimelineOnStoreBypass(t *testing.T) {
+	const body = `{"benchmark":"hydro2d","instructions":400000,"cache":{"dri":{"missBound":400,"senseInterval":50000}}}`
+	timelines := func() (run, cmp any) {
+		ts := httptest.NewServer(newServer(engine.New(0), 1_000_000))
+		defer ts.Close()
+		run = postJSON(t, ts.URL+"/v1/run?timeline=1", body, http.StatusOK)["timeline"]
+		cmp = postJSON(t, ts.URL+"/v1/compare?timeline=1", body, http.StatusOK)["timeline"]
+		return run, cmp
+	}
+
+	st := trace.SharedStore()
+	st.SetBudget(0)
+	defer st.SetBudget(trace.DefaultStoreBudget)
+	bypassed := st.Stats().Bypasses
+	bypassRun, bypassCmp := timelines()
+	if st.Stats().Bypasses == bypassed {
+		t.Fatal("store budget 0 did not bypass the stream")
+	}
+
+	st.SetBudget(trace.DefaultStoreBudget)
+	prog, err := trace.ByName("hydro2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replay(prog, 400_000) == nil {
+		t.Fatal("warm store did not record the stream")
+	}
+	warmRun, warmCmp := timelines()
+
+	if m, _ := bypassRun.(map[string]any); len(m) == 0 {
+		t.Fatalf("bypass run returned no timeline: %v", bypassRun)
+	}
+	if m, _ := bypassCmp.(map[string]any); m["baseline"] == nil || m["dri"] == nil {
+		t.Fatalf("bypass compare timeline lacks a side: %v", bypassCmp)
+	}
+	if !reflect.DeepEqual(bypassRun, warmRun) {
+		t.Error("/v1/run timeline on a bypassed stream differs from the warm-store series")
+	}
+	if !reflect.DeepEqual(bypassCmp, warmCmp) {
+		t.Error("/v1/compare timeline on a bypassed stream differs from the warm-store series")
 	}
 }

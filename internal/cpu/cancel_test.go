@@ -53,8 +53,9 @@ func TestRunCtxAbortsFused(t *testing.T) {
 }
 
 // TestRunCtxAbortsMidRun cancels deterministically mid-stream (via a stream
-// wrapper, which also forces the generic loop) and asserts the run stops
-// within one chunk cadence of the cancellation point.
+// wrapper, which the lane consumes through the isa.StreamChunks adapter)
+// and asserts the run stops at the chunk boundary after the cancellation
+// point.
 func TestRunCtxAbortsMidRun(t *testing.T) {
 	rep := recordBench(t, "gcc", 100_000)
 	h := testHierarchy()
@@ -70,8 +71,9 @@ func TestRunCtxAbortsMidRun(t *testing.T) {
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("error %v does not wrap ErrAborted", err)
 	}
-	if res.Instructions < cancelAt || res.Instructions > cancelAt+laneChunk {
-		t.Fatalf("aborted at %d instructions; want within one chunk after %d",
+	if res.Instructions < cancelAt || res.Instructions > cancelAt+laneChunk ||
+		res.Instructions%laneChunk != 0 {
+		t.Fatalf("aborted at %d instructions; want the chunk boundary within one chunk after %d",
 			res.Instructions, cancelAt)
 	}
 }

@@ -171,14 +171,14 @@ type Pipeline struct {
 	bp   *bpred.Predictor
 	tick Ticker
 	// rec, when non-nil, is the interval flight recorder sampled by the
-	// fused loop and the lane executor (see lane.recSample). The generic
-	// interface loop ignores it — foreign memory models have no hierarchy
-	// to snapshot.
+	// lane executor (see lane.recSample), whatever the stream type. Only
+	// the generic interface loop ignores it — it runs solely over foreign
+	// memory models, which have no hierarchy to snapshot.
 	rec *timeline.Recorder
 }
 
-// SetTimeline attaches an interval flight recorder to the pipeline's fused
-// loop (and its lane in RunLanes). A nil recorder — the default — costs
+// SetTimeline attaches an interval flight recorder to the pipeline's lane
+// (in Run or RunLanes). A nil recorder — the default — costs
 // nothing: the only residue is one nil check per decoded chunk.
 func (p *Pipeline) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
 
@@ -233,11 +233,14 @@ func putRings(r *rings) { ringPool.Put(r) }
 
 // Run consumes the stream to completion and returns timing results.
 //
-// When the stream is a replay cursor and the memory interfaces are one
-// concrete mem.Hierarchy (the whole-system simulation path), Run switches
-// to a fused loop whose stream and memory calls are direct — no interface
-// dispatch per instruction. Both loops implement the identical timing
-// model; TestFusedMatchesGeneric and the golden suites pin them together.
+// When the memory interfaces are one concrete mem.Hierarchy (the
+// whole-system simulation path), Run executes as a one-lane run of the lane
+// executor: the stream is consumed a chunk at a time — a replay cursor
+// decodes directly, any other stream (a trace generator) goes through an
+// isa.StreamChunks adapter — and every memory call is direct, with no
+// interface dispatch per instruction. Foreign memory models take the
+// generic interface loop. Both loops implement the identical timing model;
+// TestFusedMatchesGeneric and the golden suites pin them together.
 func (p *Pipeline) Run(stream isa.Stream) Result {
 	res, _ := p.RunCtx(context.Background(), stream)
 	return res
@@ -251,10 +254,8 @@ func (p *Pipeline) Run(stream isa.Stream) Result {
 // returned together with an error wrapping ErrAborted and the context's
 // cause; callers must discard the Result as unfinished.
 func (p *Pipeline) RunCtx(ctx context.Context, stream isa.Stream) (Result, error) {
-	if cur, ok := stream.(*isa.ReplayCursor); ok {
-		if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
-			return p.runFused(ctx, cur, h)
-		}
+	if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
+		return p.runFused(ctx, isa.ChunksOf(stream), h)
 	}
 	return p.runGeneric(ctx, stream)
 }
@@ -274,15 +275,18 @@ func (p *Pipeline) tickIs(h *mem.Hierarchy) bool {
 	return ok && ht == h
 }
 
-// runGeneric is the interface-dispatched loop, used for foreign streams and
-// memory models. Cancellation is polled at the same 256-instruction cadence
-// as the fused loop's chunk boundaries; with a non-cancellable context the
-// poll compiles down to one never-taken branch per instruction.
+// runGeneric is the interface-dispatched loop. RunCtx reaches it only for
+// foreign (non-mem.Hierarchy) memory models — the cpu unit tests'
+// fixed-latency fakes — and it stays the reference implementation the
+// fused-vs-generic suites compare the lane executor against. Cancellation
+// is polled at the same 256-instruction cadence as the lane's chunk
+// boundaries; with a non-cancellable context the poll compiles down to one
+// never-taken branch per instruction.
 //
-// NOTE: runGeneric and lane.step (lanes.go) must implement the identical
-// timing model line for line; any change to one must be mirrored in the
-// other (the lane copy differs only in its stream/memory/predictor call
-// sites).
+// NOTE: runGeneric and lane.stepChunk (lanes.go) must implement the
+// identical timing model line for line; any change to one must be mirrored
+// in the other (the lane copy differs only in its stream/memory/predictor
+// call sites).
 func (p *Pipeline) runGeneric(ctx context.Context, stream isa.Stream) (Result, error) {
 	cfg := p.cfg
 	rs := getRings(&cfg)
@@ -491,15 +495,15 @@ func (p *Pipeline) runGeneric(ctx context.Context, stream isa.Stream) (Result, e
 }
 
 // runFused is runGeneric specialized to the whole-system simulation shape:
-// the stream is a replay cursor — consumed chunk-at-a-time into a flat
-// decoded buffer instead of one interface call per instruction — and
-// fetch/load/store/tick all resolve to one concrete mem.Hierarchy, so the
-// per-instruction calls dispatch directly instead of through interfaces. It
-// is the one-lane case of the lane executor (lanes.go): the stage advance
-// lives in lane.stepChunk, shared with RunLanes. Cancellation is checked
-// once per chunk, before the decode, so an abort never pays for another
+// the stream is consumed chunk-at-a-time into a flat decoded buffer instead
+// of one interface call per instruction, and fetch/load/store/tick all
+// resolve to one concrete mem.Hierarchy, so the per-instruction calls
+// dispatch directly instead of through interfaces. It is the one-lane case
+// of the lane executor (lanes.go): the stage advance lives in
+// lane.stepChunk, shared with RunLanes. Cancellation is checked once per
+// chunk, before the decode, so an abort never pays for another
 // decode-plus-step pass; a non-cancellable context skips the check.
-func (p *Pipeline) runFused(ctx context.Context, cur *isa.ReplayCursor, h *mem.Hierarchy) (Result, error) {
+func (p *Pipeline) runFused(ctx context.Context, src isa.ChunkSource, h *mem.Hierarchy) (Result, error) {
 	g := predLane{bp: p.bp}
 	ln := newLane(p.cfg, h, p.tick != nil, &g, p.rec)
 	done := ctx.Done()
@@ -513,7 +517,7 @@ func (p *Pipeline) runFused(ctx context.Context, cur *isa.ReplayCursor, h *mem.H
 			default:
 			}
 		}
-		n := cur.NextChunk(buf[:])
+		n := src.NextChunk(buf[:])
 		if n == 0 {
 			break
 		}

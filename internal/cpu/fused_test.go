@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"dricache/internal/bpred"
@@ -11,11 +12,74 @@ import (
 	"dricache/internal/trace"
 )
 
-// TestFusedMatchesGeneric pins the fused replay loop to the generic
-// interface loop: the same stream through the same system configuration
-// must yield bit-identical results whichever loop runs — the invariant
-// that keeps golden suites unchanged now that sim.Run takes the fused
-// path. Exercised across port counts and with/without DRI ticking.
+// loopResult is one run's observables: timing, memory traffic, and the
+// L1 i-cache statistics.
+type loopResult struct {
+	res Result
+	mem mem.Stats
+	ic  dri.Stats
+}
+
+// runThreeWays runs the recorded instructions through a freshly built
+// pipeline three ways over the hierarchy mk returns: Run over a replay
+// cursor (the lane executor decoding the recording), Run over a plain
+// stream (the lane executor fed by the isa.StreamChunks adapter), and
+// runGeneric called directly — the reference interface loop, which Run no
+// longer selects for a mem.Hierarchy.
+func runThreeWays(t *testing.T, rep *isa.Replay, cfg Config, mk func() *mem.Hierarchy) (fused, adapted, generic loopResult) {
+	t.Helper()
+	run := func(f func(p *Pipeline) Result) loopResult {
+		h := mk()
+		p := New(cfg, h, h, bpred.New(bpred.DefaultConfig()), h)
+		r := f(p)
+		h.Finish(r.Cycles)
+		return loopResult{r, h.Stats(), h.ICache().Stats()}
+	}
+	var instrs []isa.Instr
+	var ins isa.Instr
+	c := rep.Cursor()
+	for c.Next(&ins) {
+		instrs = append(instrs, ins)
+	}
+	fused = run(func(p *Pipeline) Result {
+		cur := rep.Cursor()
+		return p.Run(&cur)
+	})
+	adapted = run(func(p *Pipeline) Result {
+		return p.Run(&isa.SliceStream{Instrs: instrs})
+	})
+	generic = run(func(p *Pipeline) Result {
+		r, err := p.runGeneric(context.Background(), &isa.SliceStream{Instrs: instrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	})
+	return fused, adapted, generic
+}
+
+// checkSame reports every field group where got diverges from the
+// runGeneric reference.
+func checkSame(t *testing.T, what string, got, ref loopResult) {
+	t.Helper()
+	if got.res != ref.res {
+		t.Errorf("%s: cpu.Result diverged:\n  got     %+v\n  generic %+v", what, got.res, ref.res)
+	}
+	if got.mem != ref.mem {
+		t.Errorf("%s: mem.Stats diverged:\n  got     %+v\n  generic %+v", what, got.mem, ref.mem)
+	}
+	if got.ic != ref.ic {
+		t.Errorf("%s: dri.Stats diverged:\n  got     %+v\n  generic %+v", what, got.ic, ref.ic)
+	}
+}
+
+// TestFusedMatchesGeneric pins the lane executor to the generic interface
+// loop: the same stream through the same system configuration must yield
+// bit-identical results whether the lane decodes a replay cursor, takes a
+// plain stream through the chunk adapter, or runGeneric runs it — the
+// invariant that keeps golden suites unchanged now that every
+// whole-system simulation runs on the lane. Exercised across port counts
+// and with/without DRI ticking.
 func TestFusedMatchesGeneric(t *testing.T) {
 	prog, err := trace.ByName("gcc")
 	if err != nil {
@@ -51,44 +115,19 @@ func TestFusedMatchesGeneric(t *testing.T) {
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
-			run := func(stream isa.Stream) (Result, mem.Stats, dri.Stats) {
-				h := mem.New(mem.DefaultConfig(tc.l1i))
-				p := New(cfg, h, h, bpred.New(bpred.DefaultConfig()), h)
-				r := p.Run(stream)
-				h.Finish(r.Cycles)
-				return r, h.Stats(), h.ICache().Stats()
-			}
-
-			cur := rep.Cursor()
-			fusedRes, fusedMem, fusedIC := run(&cur)
-
-			// The generic loop via a non-cursor stream over the identical
-			// instructions.
-			var instrs []isa.Instr
-			var ins isa.Instr
-			c2 := rep.Cursor()
-			for c2.Next(&ins) {
-				instrs = append(instrs, ins)
-			}
-			genRes, genMem, genIC := run(&isa.SliceStream{Instrs: instrs})
-
-			if fusedRes != genRes {
-				t.Errorf("cpu.Result diverged:\n  fused   %+v\n  generic %+v", fusedRes, genRes)
-			}
-			if fusedMem != genMem {
-				t.Errorf("mem.Stats diverged:\n  fused   %+v\n  generic %+v", fusedMem, genMem)
-			}
-			if fusedIC != genIC {
-				t.Errorf("dri.Stats diverged:\n  fused   %+v\n  generic %+v", fusedIC, genIC)
-			}
+			fused, adapted, generic := runThreeWays(t, rep, cfg, func() *mem.Hierarchy {
+				return mem.New(mem.DefaultConfig(tc.l1i))
+			})
+			checkSame(t, "replay lane", fused, generic)
+			checkSame(t, "adapter lane", adapted, generic)
 		})
 	}
 }
 
-// TestFusedMemoMatchesGeneric pins the memoized fused loop — the lane fast
-// path that probes the way-memoization link table and skips FetchBlock, plus
-// the SeqPC same-block shortcut — to the generic interface loop, across all
-// benchmarks. Way memoization must be a pure accelerator: identical cycles,
+// TestFusedMemoMatchesGeneric pins the memoized lane — the fast path that
+// probes the way-memoization link table and skips FetchBlock, plus the
+// SeqPC same-block shortcut, fed by a replay cursor and by the chunk
+// adapter — to the generic interface loop, across all benchmarks. Way memoization must be a pure accelerator: identical cycles,
 // identical cache statistics (including the memo-hit counts themselves),
 // identical energy inputs.
 func TestFusedMemoMatchesGeneric(t *testing.T) {
@@ -108,35 +147,12 @@ func TestFusedMemoMatchesGeneric(t *testing.T) {
 			if !exact {
 				t.Fatal("recording inexact")
 			}
-			run := func(stream isa.Stream) (Result, mem.Stats, dri.Stats) {
-				h := mem.New(memCfg)
-				p := New(DefaultConfig(), h, h, bpred.New(bpred.DefaultConfig()), h)
-				r := p.Run(stream)
-				h.Finish(r.Cycles)
-				return r, h.Stats(), h.ICache().Stats()
-			}
-
-			cur := rep.Cursor()
-			fusedRes, fusedMem, fusedIC := run(&cur)
-			totalMemoHits += fusedIC.MemoHits
-
-			var instrs []isa.Instr
-			var ins isa.Instr
-			c2 := rep.Cursor()
-			for c2.Next(&ins) {
-				instrs = append(instrs, ins)
-			}
-			genRes, genMem, genIC := run(&isa.SliceStream{Instrs: instrs})
-
-			if fusedRes != genRes {
-				t.Errorf("cpu.Result diverged:\n  fused   %+v\n  generic %+v", fusedRes, genRes)
-			}
-			if fusedMem != genMem {
-				t.Errorf("mem.Stats diverged:\n  fused   %+v\n  generic %+v", fusedMem, genMem)
-			}
-			if fusedIC != genIC {
-				t.Errorf("dri.Stats diverged:\n  fused   %+v\n  generic %+v", fusedIC, genIC)
-			}
+			fused, adapted, generic := runThreeWays(t, rep, DefaultConfig(), func() *mem.Hierarchy {
+				return mem.New(memCfg)
+			})
+			totalMemoHits += fused.ic.MemoHits
+			checkSame(t, "replay lane", fused, generic)
+			checkSame(t, "adapter lane", adapted, generic)
 		})
 	}
 	if totalMemoHits == 0 {
@@ -151,12 +167,9 @@ func TestFusedPathTaken(t *testing.T) {
 	l1i := dri.Config{SizeBytes: 64 << 10, BlockBytes: 32, Assoc: 1, AddrBits: 32}
 	h := mem.New(mem.DefaultConfig(l1i))
 	p := New(DefaultConfig(), h, h, nil, h)
-	rep, _ := isa.RecordStream(&isa.SliceStream{}, 0)
-	cur := rep.Cursor()
 	if !(p.tickIs(h) && p.dmemIs(h)) {
 		t.Fatal("whole-system shape not recognized as fusable")
 	}
-	_ = cur
 
 	// Foreign dmem defeats fusing.
 	p2 := New(DefaultConfig(), h, &perfectDMem{}, nil, h)

@@ -1,11 +1,12 @@
 // The lane executor: the per-instruction stage advance of the fused
 // whole-system loop, extracted into a reusable lane so that N independent
 // simulations of the *same* instruction stream can share a single decode
-// pass. A sweep evaluates one benchmark across many cache/policy
-// configurations; replay-decoding the stream once and stepping every lane
-// lock-step removes the per-configuration decode (and, for lanes with equal
-// predictor configurations, the branch-predictor walk) from the sweep's
-// critical path while keeping every lane bit-identical to running alone.
+// (or generation) pass. A sweep evaluates one benchmark across many
+// cache/policy configurations; replay-decoding the stream once and stepping
+// every lane lock-step removes the per-configuration decode (and, for lanes
+// with equal predictor configurations, the branch-predictor walk) from the
+// sweep's critical path while keeping every lane bit-identical to running
+// alone.
 package cpu
 
 import (
@@ -163,8 +164,9 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 
 // stepChunk advances the lane by one decoded chunk. The lane's predLane
 // must already hold the chunk's prediction outcomes (predictChunk over the
-// same buf). Per-instruction, e.Seq is the replay cursor's free
-// PC-sequentiality signal (isa.DecodedInstr.Seq); when the PC is
+// same buf). Per-instruction, e.Seq is the PC-sequentiality signal
+// (isa.DecodedInstr.Seq: free from the replay encoding, one compare in the
+// StreamChunks adapter); when the PC is
 // additionally not block-aligned, the instruction provably shares the
 // previous instruction's fetch block, so the block compare (and any i-cache
 // traffic) is skipped without consulting curBlock. A constant-false Seq is
@@ -390,11 +392,14 @@ func laneFor(p *Pipeline, pred *predLane) *lane {
 	return newLane(p.cfg, h, p.tick != nil, pred, p.rec)
 }
 
-// RunLanes consumes the replay cursor once and advances one lane per
+// RunLanes consumes the chunk source once and advances one lane per
 // pipeline in lock-step, returning the per-lane results in input order.
-// Each lane owns its pipeline timing state and memory hierarchy, so every
-// result is bit-identical to running that pipeline alone over the same
-// stream; the lanes share only the immutable decoded instruction values.
+// The source is a replay cursor or, for a stream the trace store does not
+// hold, an isa.StreamChunks adapter over the generator: either way the
+// stream is decoded (or generated) once for all lanes. Each lane owns its
+// pipeline timing state and memory hierarchy, so every result is
+// bit-identical to running that pipeline alone over the same stream; the
+// lanes share only the immutable decoded instruction values.
 //
 // Lanes whose predictors have equal configurations additionally share one
 // branch-predictor walk (the group's first predictor); prediction is
@@ -402,8 +407,8 @@ func laneFor(p *Pipeline, pred *predLane) *lane {
 // solo run would compute. Every pipeline must be freshly constructed — a
 // predictor that has already consumed instructions would diverge from its
 // group.
-func RunLanes(cur *isa.ReplayCursor, pipes []*Pipeline) []Result {
-	out, _ := RunLanesCtx(context.Background(), cur, pipes)
+func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
+	out, _ := RunLanesCtx(context.Background(), src, pipes)
 	return out
 }
 
@@ -413,7 +418,7 @@ func RunLanes(cur *isa.ReplayCursor, pipes []*Pipeline) []Result {
 // On cancellation every lane is finished (partial results, rings returned
 // to the pool) and the error wraps ErrAborted with the context's cause;
 // the partial results must be discarded.
-func RunLanesCtx(ctx context.Context, cur *isa.ReplayCursor, pipes []*Pipeline) ([]Result, error) {
+func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, error) {
 	if len(pipes) == 0 {
 		return nil, nil
 	}
@@ -447,7 +452,7 @@ func RunLanesCtx(ctx context.Context, cur *isa.ReplayCursor, pipes []*Pipeline) 
 			default:
 			}
 		}
-		n := cur.NextChunk(buf[:])
+		n := src.NextChunk(buf[:])
 		if n == 0 {
 			break
 		}

@@ -14,7 +14,8 @@ import (
 // pipeline: N lanes advanced lock-step over one decode — including lanes
 // with different branch-predictor configurations, which form separate
 // predictor groups — must each produce the cpu.Result and memory traffic of
-// running that pipeline alone over the same stream.
+// running that pipeline alone over the same stream, whether the lanes are
+// fed by a replay cursor or by the generator through the chunk adapter.
 func TestRunLanesMatchesSoloPipelines(t *testing.T) {
 	prog, err := trace.ByName("gcc")
 	if err != nil {
@@ -60,21 +61,27 @@ func TestRunLanesMatchesSoloPipelines(t *testing.T) {
 		soloMem[i] = h.Stats()
 	}
 
-	hs := make([]*mem.Hierarchy, len(cases))
-	pipes := make([]*Pipeline, len(cases))
-	for i, c := range cases {
-		hs[i] = mem.New(mem.DefaultConfig(c.l1i))
-		pipes[i] = New(DefaultConfig(), hs[i], hs[i], bpred.New(c.bp), hs[i])
-	}
 	cur := rep.Cursor()
-	got := RunLanes(&cur, pipes)
-	for i, c := range cases {
-		hs[i].Finish(got[i].Cycles)
-		if got[i] != solo[i] {
-			t.Errorf("%s: cpu.Result diverged:\n  lane %+v\n  solo %+v", c.name, got[i], solo[i])
+	sources := map[string]isa.ChunkSource{
+		"replay":    &cur,
+		"generator": isa.ChunksOf(prog.Stream(n)),
+	}
+	for src, chunks := range sources {
+		hs := make([]*mem.Hierarchy, len(cases))
+		pipes := make([]*Pipeline, len(cases))
+		for i, c := range cases {
+			hs[i] = mem.New(mem.DefaultConfig(c.l1i))
+			pipes[i] = New(DefaultConfig(), hs[i], hs[i], bpred.New(c.bp), hs[i])
 		}
-		if hs[i].Stats() != soloMem[i] {
-			t.Errorf("%s: mem.Stats diverged:\n  lane %+v\n  solo %+v", c.name, hs[i].Stats(), soloMem[i])
+		got := RunLanes(chunks, pipes)
+		for i, c := range cases {
+			hs[i].Finish(got[i].Cycles)
+			if got[i] != solo[i] {
+				t.Errorf("%s/%s: cpu.Result diverged:\n  lane %+v\n  solo %+v", src, c.name, got[i], solo[i])
+			}
+			if hs[i].Stats() != soloMem[i] {
+				t.Errorf("%s/%s: mem.Stats diverged:\n  lane %+v\n  solo %+v", src, c.name, hs[i].Stats(), soloMem[i])
+			}
 		}
 	}
 }

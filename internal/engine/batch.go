@@ -213,8 +213,7 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 	// Groups are a batch-forming fact and counted here (only groups that
 	// still have work after cache and persistence resolution); batch and
 	// lane execution (and the decode passes they save) are counted when
-	// each batch completes, because only the executor knows whether a batch
-	// really shared one decode pass or fell back to sequential runs.
+	// each batch completes, because an aborted batch counts nothing.
 	if len(batches) > 0 {
 		e.mu.Lock()
 		e.laneGroups += uint64(nonEmpty)
@@ -279,7 +278,7 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			for j, c := range b.claims {
 				cfgs[j] = c.cfg
 			}
-			rs, shared, err := runLanes(bctx, cfgs, b.prog)
+			rs, err := runLanes(bctx, cfgs, b.prog)
 			if err != nil {
 				// Aborted mid-batch: uncache every claim (same treatment as
 				// a panic — the cache must never hold a partial result) and
@@ -305,9 +304,7 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			e.mu.Lock()
 			e.laneBatches++
 			e.laneRuns += uint64(len(b.claims))
-			if shared {
-				e.decodeSaved += uint64(len(b.claims) - 1)
-			}
+			e.decodeSaved += uint64(len(b.claims) - 1)
 			for j, c := range b.claims {
 				res := rs[j]
 				c.ent.res = &res

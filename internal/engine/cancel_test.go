@@ -12,6 +12,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -125,6 +127,73 @@ func TestCancelledBatchRetriesCleanly(t *testing.T) {
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("retry result %d diverges from uncancelled run", i)
+		}
+	}
+}
+
+// TestCancelledBypassBatchRetriesCleanly cancels a generator-fed lane
+// batch (the trace store's budget at zero, all six policies as lanes) at
+// its first interval point. The abort must surface as cpu.ErrAborted at a
+// chunk boundary; the engine must cache nothing and count nothing from the
+// aborted batch (neither its own lane counters nor the executor's); and a
+// retry must match the warm-store runs bit for bit.
+func TestCancelledBypassBatchRetriesCleanly(t *testing.T) {
+	st := trace.SharedStore()
+	st.SetBudget(0)
+	defer st.SetBudget(trace.DefaultStoreBudget)
+
+	prog, err := trace.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 400_000
+	var reqs []Request
+	for _, cfg := range cancelPolicyConfigs(budget) {
+		reqs = append(reqs, Request{Config: cfg, Prog: prog})
+	}
+
+	e := New(1) // one worker and one group: all six lanes in one batch
+	lanes0 := sim.ReadLaneStats()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	ctx = timeline.WithSink(ctx, func(timeline.Point) {
+		cancel(errors.New("test: first interval"))
+	})
+	_, err = e.RunManyCtx(ctx, reqs)
+	if !errors.Is(err, cpu.ErrAborted) {
+		t.Fatalf("RunManyCtx err = %v, want cpu.ErrAborted", err)
+	}
+	m := regexp.MustCompile(`after (\d+) instructions`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("abort error %q does not name its instruction count", err)
+	}
+	if at, _ := strconv.Atoi(m[1]); at == 0 || at >= budget || at%256 != 0 {
+		t.Fatalf("aborted after %d instructions; want a chunk boundary inside the stream", at)
+	}
+	s := e.Stats()
+	if s.Entries != 0 || s.InFlight != 0 {
+		t.Fatalf("after abort: %d entries, %d in flight; want a clean cache", s.Entries, s.InFlight)
+	}
+	if s.Lanes.Batches != 0 || s.Lanes.Lanes != 0 || s.Lanes.DecodeSaved != 0 {
+		t.Fatalf("aborted batch was counted: %+v", s.Lanes)
+	}
+	if lanes1 := sim.ReadLaneStats(); lanes1 != lanes0 {
+		t.Fatalf("aborted batch moved the executor counters: %+v -> %+v", lanes0, lanes1)
+	}
+
+	got, err := e.RunManyCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("retry after abort: %v", err)
+	}
+	if s := e.Stats(); s.Lanes.Batches != 1 || s.Lanes.DecodeSaved != uint64(len(reqs)-1) {
+		t.Fatalf("retry lane counters = %+v, want one batch saving %d decodes", s.Lanes, len(reqs)-1)
+	}
+	st.SetBudget(trace.DefaultStoreBudget)
+	if st.Replay(prog, budget) == nil {
+		t.Fatal("warm store did not record the stream")
+	}
+	for i, q := range reqs {
+		if want := sim.Run(q.Config, prog); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("retry result %d diverges from the warm-store run", i)
 		}
 	}
 }

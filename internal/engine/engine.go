@@ -174,13 +174,13 @@ type Engine struct {
 
 	// runFn executes one simulation and runLanesFn one lane batch; swapped
 	// together by tests (setRunFn) to count and stall executions. Default
-	// to sim.RunCtxE / sim.RunLanesNotedCtx. runLanesFn's bool result
-	// reports whether the batch actually shared one decode pass — false on
-	// the trace-store-bypass sequential fallback, where no decode saving
-	// may be credited. A non-nil error means the run aborted on context
-	// cancellation and nothing may be cached or counted.
+	// to sim.RunCtxE / sim.RunLanesCtx. A completed batch is one shared
+	// stream pass — a replay decode, or one generator pass when the trace
+	// store bypassed the stream — and is credited len−1 decode passes
+	// saved. A non-nil error means the run aborted on context cancellation
+	// and nothing may be cached or counted.
 	runFn      func(context.Context, sim.Config, trace.Program) (sim.Result, error)
-	runLanesFn func(context.Context, []sim.Config, trace.Program) ([]sim.Result, bool, error)
+	runLanesFn func(context.Context, []sim.Config, trace.Program) ([]sim.Result, error)
 }
 
 // New returns an engine whose worker pool is bounded at workers concurrent
@@ -190,7 +190,7 @@ func New(workers int) *Engine {
 		limit:      workers,
 		entries:    make(map[Key]*entry),
 		runFn:      sim.RunCtxE,
-		runLanesFn: sim.RunLanesNotedCtx,
+		runLanesFn: sim.RunLanesCtx,
 	}
 	e.slot = sync.NewCond(&e.mu)
 	return e
@@ -203,14 +203,12 @@ func (e *Engine) setRunFn(f func(sim.Config, trace.Program) sim.Result) {
 	e.runFn = func(_ context.Context, cfg sim.Config, p trace.Program) (sim.Result, error) {
 		return f(cfg, p), nil
 	}
-	e.runLanesFn = func(_ context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, bool, error) {
+	e.runLanesFn = func(_ context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, error) {
 		out := make([]sim.Result, len(cfgs))
 		for i, c := range cfgs {
 			out[i] = f(c, p)
 		}
-		// The stub stands in for the lock-step executor, so a multi-lane
-		// batch counts as a shared decode pass.
-		return out, len(cfgs) > 1, nil
+		return out, nil
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSetLanesCapsBatchSize(t *testing.T) {
 		mu    sync.Mutex
 		sizes []int
 	)
-	e.runLanesFn = func(_ context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, bool, error) {
+	e.runLanesFn = func(_ context.Context, cfgs []sim.Config, p trace.Program) ([]sim.Result, error) {
 		mu.Lock()
 		sizes = append(sizes, len(cfgs))
 		mu.Unlock()
@@ -88,7 +88,7 @@ func TestSetLanesCapsBatchSize(t *testing.T) {
 		for i := range out {
 			out[i] = sim.Result{Benchmark: p.Name}
 		}
-		return out, len(cfgs) > 1, nil
+		return out, nil
 	}
 	e.SetLanes(2)
 	if got := e.Lanes(); got != 2 {
@@ -184,53 +184,57 @@ func TestRunManyPanicPoisonsBatch(t *testing.T) {
 	}
 }
 
-// TestRunManyStoreBypassNoDecodeSaved is the regression test for the
-// trace-store-bypass accounting bug: with the store's budget at zero,
-// sim.RunLanes falls back to sequential execution, so the engine must not
-// credit decode passes saved — while the batches and lanes it scheduled
-// (and per-request hit/dedup accounting, including an in-call duplicate
-// joining mid-batch) stay exactly as on the lane path.
-func TestRunManyStoreBypassNoDecodeSaved(t *testing.T) {
+// TestRunManyStoreBypassSharesDecode pins the engine's accounting on the
+// generator-fed lane path: with the store's budget at zero, one batch of N
+// claims generates its stream once and is credited N−1 decode passes saved,
+// exactly as on the replay path — while per-request hit/dedup accounting
+// (including an in-call duplicate joining mid-batch) is unchanged and every
+// result equals the warm-store sim.Run of its configuration.
+func TestRunManyStoreBypassSharesDecode(t *testing.T) {
 	st := trace.SharedStore()
 	st.SetBudget(0)
 	defer st.SetBudget(trace.DefaultStoreBudget)
 
 	p := prog(t, "applu")
-	e := New(2)
+	e := New(1) // one worker and one group: the whole group is one batch
 	reqs := []Request{
 		{Config: cfgAt(0), Prog: p},
 		{Config: cfgAt(1), Prog: p},
 		{Config: cfgAt(2), Prog: p},
 		{Config: cfgAt(1), Prog: p}, // in-call duplicate joins mid-batch
 	}
+	before := sim.ReadLaneStats()
 	out := e.RunMany(reqs)
+	after := sim.ReadLaneStats()
 	if !reflect.DeepEqual(out[1], out[3]) {
 		t.Error("in-call duplicate diverges from its claim's result")
 	}
-	for i, c := range []sim.Config{cfgAt(0), cfgAt(1), cfgAt(2), cfgAt(1)} {
-		if want := sim.Run(c, p); !reflect.DeepEqual(out[i], want) {
-			t.Errorf("bypass out[%d] diverges from a solo run", i)
-		}
-	}
 
 	s := e.Stats()
-	if s.Lanes.DecodeSaved != 0 {
-		t.Errorf("DecodeSaved = %d on the store-bypass fallback, want 0", s.Lanes.DecodeSaved)
+	if s.Lanes.Batches != 1 {
+		t.Errorf("batches = %d, want 1", s.Lanes.Batches)
 	}
 	if s.Lanes.Lanes != 3 {
 		t.Errorf("lanes = %d, want 3 (duplicate must not be double-counted)", s.Lanes.Lanes)
 	}
+	if s.Lanes.DecodeSaved != 2 {
+		t.Errorf("DecodeSaved = %d on the generator-fed batch, want 2", s.Lanes.DecodeSaved)
+	}
 	if s.Misses != 3 || s.Deduped != 1 {
 		t.Errorf("misses/deduped = %d/%d, want 3/1", s.Misses, s.Deduped)
 	}
+	if d := after.Fallbacks - before.Fallbacks; d != 3 {
+		t.Errorf("executor fallbacks advanced by %d, want 3", d)
+	}
 
-	// Restore the store and rerun fresh requests: now the batch really
-	// shares one decode pass and the credit returns.
 	st.SetBudget(trace.DefaultStoreBudget)
-	e2 := New(1)
-	e2.RunMany(reqs[:3])
-	if s := e2.Stats(); s.Lanes.DecodeSaved != 2 {
-		t.Errorf("DecodeSaved = %d on the lane path, want 2", s.Lanes.DecodeSaved)
+	if st.Replay(p, quickInstrs) == nil {
+		t.Fatal("warm store did not record the stream")
+	}
+	for i, c := range []sim.Config{cfgAt(0), cfgAt(1), cfgAt(2), cfgAt(1)} {
+		if want := sim.Run(c, p); !reflect.DeepEqual(out[i], want) {
+			t.Errorf("bypass out[%d] diverges from the warm-store run", i)
+		}
 	}
 }
 

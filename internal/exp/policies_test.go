@@ -1,8 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"dricache/internal/sim"
+	"dricache/internal/timeline"
+	"dricache/internal/trace"
 )
 
 func TestPolicySweepGrid(t *testing.T) {
@@ -127,5 +132,57 @@ func TestPolicySweepDRIMatchesPlainDRI(t *testing.T) {
 	}
 	if got, want := viaPolicy.Cmp.RelativeED, plain.RelativeED; got != want {
 		t.Errorf("relative ED via policy selector = %v, plain = %v", got, want)
+	}
+}
+
+// TestGeneratorMatchesReplayPolicySweep is the generator-vs-replay
+// equivalence property end to end: the six-policy shoot-out over every
+// benchmark, run through the engine with the trace store's budget at zero
+// (every lane batch fed by the generator through the chunk adapter), must
+// equal the same shoot-out over a warm store point for point — both
+// comparisons, every counter, every interval timeline.
+func TestGeneratorMatchesReplayPolicySweep(t *testing.T) {
+	progs := trace.Benchmarks()
+	if testing.Short() {
+		progs = progs[:3]
+	}
+	scale := Scale{
+		Instructions:  200_000,
+		SenseInterval: 20_000,
+		Timeline:      timeline.Config{Enabled: true},
+	}
+	sweep := func() []PolicyPoint {
+		r := NewRunner(scale)
+		return r.PolicySweep(progs, r.StandardPolicyChoices())
+	}
+
+	st := trace.SharedStore()
+	st.SetBudget(0)
+	defer st.SetBudget(trace.DefaultStoreBudget)
+	fallbacks := sim.ReadLaneStats().Fallbacks
+	generated := sweep()
+	if sim.ReadLaneStats().Fallbacks == fallbacks {
+		t.Fatal("no lane was fed by the generator; the store did not bypass")
+	}
+
+	st.SetBudget(trace.DefaultStoreBudget)
+	for _, p := range progs {
+		if st.Replay(p, scale.Instructions) == nil {
+			t.Fatalf("%s: warm store did not record the stream", p.Name)
+		}
+	}
+	replayed := sweep()
+
+	if len(generated) != len(replayed) {
+		t.Fatalf("%d generator points vs %d replay points", len(generated), len(replayed))
+	}
+	for i := range replayed {
+		if generated[i].Cmp.DRI.Timeline == nil {
+			t.Fatalf("%s/%s: generator-fed point has no timeline", generated[i].Bench, generated[i].Policy)
+		}
+		if !reflect.DeepEqual(generated[i], replayed[i]) {
+			t.Errorf("%s/%s: generator-fed point diverges from the replay point",
+				replayed[i].Bench, replayed[i].Policy)
+		}
 	}
 }

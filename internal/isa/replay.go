@@ -262,6 +262,70 @@ func (c *ReplayCursor) NextChunk(buf []DecodedInstr) int {
 	return n
 }
 
+// ChunkSource supplies decoded instructions a chunk at a time, in program
+// order: NextChunk fills up to len(buf) entries and returns how many it
+// wrote, 0 at end of stream. ReplayCursor is one; StreamChunks adapts any
+// other Stream.
+type ChunkSource interface {
+	NextChunk(buf []DecodedInstr) int
+}
+
+// ChunksOf returns s as a ChunkSource: s itself when it already is one (a
+// replay cursor), otherwise a StreamChunks adapter over it.
+func ChunksOf(s Stream) ChunkSource {
+	if cs, ok := s.(ChunkSource); ok {
+		return cs
+	}
+	return &StreamChunks{s: s, prevPC: pcInit}
+}
+
+// StreamChunks adapts a Stream to ChunkSource, so an instruction stream
+// that was never recorded (a trace generator the replay store bypassed)
+// feeds the same chunked consumers as a replay cursor. Its output equals
+// a record-then-decode of the same stream field for field: Seq is computed
+// exactly as the Recorder does (PC == previous PC + InstrBytes, from
+// pcInit), and MemAddr/Target are zeroed for classes that do not carry
+// them.
+type StreamChunks struct {
+	s      Stream
+	prevPC uint64
+	ins    Instr
+	done   bool
+}
+
+// NextChunk implements ChunkSource. Once the underlying stream reports its
+// end, the stream is not called again.
+func (a *StreamChunks) NextChunk(buf []DecodedInstr) int {
+	if a.done {
+		return 0
+	}
+	ins := &a.ins
+	prevPC := a.prevPC
+	n := 0
+	for n < len(buf) {
+		if !a.s.Next(ins) {
+			a.done = true
+			break
+		}
+		e := &buf[n]
+		e.PC = ins.PC
+		e.Cls = ins.Class
+		e.Taken = ins.Taken
+		e.Seq = ins.PC == prevPC+InstrBytes
+		e.S1, e.S2, e.Dst = ins.Src1, ins.Src2, ins.Dst
+		e.MemAddr, e.Target = 0, 0
+		if ins.Class.IsMem() {
+			e.MemAddr = ins.MemAddr
+		} else if ins.Class.IsControl() {
+			e.Target = ins.Target
+		}
+		prevPC = ins.PC
+		n++
+	}
+	a.prevPC = prevPC
+	return n
+}
+
 // Recorder builds a Replay by appending instructions in program order.
 // The zero value is ready to use; call Finish once to obtain the Replay.
 type Recorder struct {

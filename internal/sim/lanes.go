@@ -1,14 +1,15 @@
 package sim
 
 // The multi-lane sweep path: one benchmark simulated under N configurations
-// in a single pass over its recorded instruction stream. Every sweep in the
+// in a single pass over its instruction stream. Every sweep in the
 // evaluation — the Figure 3 grid search, the policy shoot-out, the joint
-// L1×L2 study — replays the same stream once per configuration; RunLanes
+// L1×L2 study — consumes the same stream once per configuration; RunLanes
 // decodes it once and advances all N lanes lock-step instead (the
 // record-once/replay-many principle of the trace store, pushed one level
-// further: decode-once/simulate-many). Each lane owns its hierarchy,
-// pipeline state, and statistics, so the results are bit-identical to
-// sequential runs.
+// further: decode-once/simulate-many). A stream the store bypasses is
+// generated once and fed to the lanes the same way. Each lane owns its
+// hierarchy, pipeline state, and statistics, so the results are
+// bit-identical to sequential runs.
 
 import (
 	"context"
@@ -19,6 +20,7 @@ import (
 
 	"dricache/internal/bpred"
 	"dricache/internal/cpu"
+	"dricache/internal/isa"
 	"dricache/internal/mem"
 	"dricache/internal/obs"
 	"dricache/internal/timeline"
@@ -29,14 +31,15 @@ import (
 // multi-lane passes ran, how many simulations they carried, and how many
 // stream-decode passes that saved versus sequential execution.
 type LaneStats struct {
-	// Batches counts multi-lane executions (one shared decode pass each).
+	// Batches counts multi-lane executions (one shared decode or
+	// generation pass each).
 	Batches uint64
 	// Lanes counts the simulations carried by those executions.
 	Lanes uint64
 	// DecodeSaved counts stream decode passes avoided: Lanes − Batches.
 	DecodeSaved uint64
-	// Fallbacks counts simulations requested through RunLanes that ran
-	// sequentially because the trace store could not hold the stream.
+	// Fallbacks counts lane simulations fed by the generator because the
+	// trace store bypassed their stream (a subset of Lanes).
 	Fallbacks uint64
 }
 
@@ -108,15 +111,15 @@ func releaseHierarchy(cfg mem.Config, h *mem.Hierarchy) {
 // share one instruction budget — and returns the per-configuration results
 // in input order, each bit-identical to Run(cfgs[i], prog).
 //
-// When the shared trace store holds (or can hold) the stream's recording,
-// all lanes advance lock-step over a single decode of it: one replay pass,
-// N simulations. Lanes with equal branch-predictor configurations further
+// All lanes advance lock-step over a single pass of the stream: a decode of
+// the shared trace store's recording when the store holds (or can hold)
+// it, otherwise one run of the trace generator through an
+// isa.StreamChunks adapter. Either way it is one stream pass for N
+// simulations. Lanes with equal branch-predictor configurations further
 // share one predictor walk (prediction is stream-driven, so outcomes and
-// statistics are exactly those of a solo run). When the store cannot hold
-// the stream there is no shared decode to amortize and the configurations
-// run sequentially.
+// statistics are exactly those of a solo run).
 func RunLanes(cfgs []Config, prog trace.Program) []Result {
-	out, _, _ := RunLanesNotedCtx(context.Background(), cfgs, prog)
+	out, _ := RunLanesCtx(context.Background(), cfgs, prog)
 	return out
 }
 
@@ -124,31 +127,22 @@ func RunLanes(cfgs []Config, prog trace.Program) []Result {
 // stream record/fetch, lock-step pipeline pass, and result assembly are
 // recorded as child spans, and the lane goroutine is labeled
 // (runtime/pprof) with the benchmark and lane count. Results are identical
-// to RunLanes. Cancellation stops every lane at the same chunk boundary;
-// the error then wraps cpu.ErrAborted and no results are assembled.
-func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Result, error) {
-	out, _, err := RunLanesNotedCtx(ctx, cfgs, prog)
-	return out, err
-}
-
-// RunLanesNotedCtx is RunLanesCtx that additionally reports whether the
-// configurations actually shared one decode pass. It returns false when
-// there was nothing to share (zero or one configuration) or when the trace
-// store could not hold the stream and the configurations ran sequentially —
-// callers accounting decode passes saved (the engine's batch scheduler)
-// must not credit those executions. A non-nil error means the context was
-// cancelled mid-run: the results are zero values, nothing was counted in
+// to RunLanes. Every call with two or more configurations is one shared
+// stream pass, so a caller accounting decode passes saved (the engine's
+// batch scheduler) credits len(cfgs)−1 per successful call. A non-nil
+// error means the context was cancelled mid-run: every lane stopped at the
+// same chunk boundary, the results are zero values, nothing was counted in
 // simulation telemetry, and the error wraps cpu.ErrAborted plus the cause.
-func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Result, bool, error) {
+func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Result, error) {
 	out := make([]Result, len(cfgs))
 	if len(cfgs) == 0 {
-		return out, false, nil
+		return out, nil
 	}
 	// Check before touching the trace store: Replay records the stream on a
 	// miss (a full generate-and-encode pass), and a batch queued behind a
 	// cancelled sweep must not pay that just to abort at its first chunk.
 	if err := ctx.Err(); err != nil {
-		return out, false, abortedBeforeStart(ctx)
+		return out, abortedBeforeStart(ctx)
 	}
 	budget := cfgs[0].Instructions
 	for _, c := range cfgs[1:] {
@@ -159,26 +153,23 @@ func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([
 	if len(cfgs) == 1 {
 		res, err := RunCtxE(ctx, cfgs[0], prog)
 		if err != nil {
-			return out, false, err
+			return out, err
 		}
 		out[0] = res
-		return out, false, nil
+		return out, nil
 	}
 	_, sp := obs.StartSpan(ctx, "stream_decode")
 	sp.SetAttr("benchmark", prog.Name)
+	var src isa.ChunkSource
 	rep := trace.SharedStore().Replay(prog, budget)
-	sp.End()
-	if rep == nil {
-		laneFallbacks.Add(uint64(len(cfgs)))
-		for i, c := range cfgs {
-			res, err := RunCtxE(ctx, c, prog)
-			if err != nil {
-				return out, false, err
-			}
-			out[i] = res
-		}
-		return out, false, nil
+	generated := rep == nil
+	if generated {
+		src = isa.ChunksOf(prog.Stream(budget))
+	} else {
+		cur := rep.Cursor()
+		src = &cur
 	}
+	sp.End()
 
 	var abortErr error
 	pprof.Do(ctx, pprof.Labels("benchmark", prog.Name, "lanes", strconv.Itoa(len(cfgs))),
@@ -204,8 +195,7 @@ func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([
 			}
 			_, sp := obs.StartSpan(ctx, "pipeline")
 			sp.SetAttr("lanes", strconv.Itoa(len(cfgs)))
-			cur := rep.Cursor()
-			cpuRes, err := cpu.RunLanesCtx(ctx, &cur, pipes)
+			cpuRes, err := cpu.RunLanesCtx(ctx, src, pipes)
 			sp.End()
 			if err != nil {
 				// Aborted mid-batch: the hierarchies hold partial state, but
@@ -226,9 +216,12 @@ func RunLanesNotedCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([
 			sp.End()
 		})
 	if abortErr != nil {
-		return out, false, abortErr
+		return out, abortErr
+	}
+	if generated {
+		laneFallbacks.Add(uint64(len(cfgs)))
 	}
 	laneLanes.Add(uint64(len(cfgs)))
 	laneBatches.Add(1)
-	return out, true, nil
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"dricache/internal/dri"
 	"dricache/internal/policy"
+	"dricache/internal/timeline"
 	"dricache/internal/trace"
 )
 
@@ -71,9 +72,12 @@ func TestRunLanesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunLanesStoreBypassFallback checks the no-shared-decode path: when
-// the trace store cannot hold the stream, RunLanes runs the configurations
-// sequentially (counted as fallbacks) and still matches per-config runs.
+// TestRunLanesStoreBypassFallback checks the generator-fed lane path: when
+// the trace store cannot hold the stream, RunLanes generates it once and
+// steps every lane over that one pass. The batch counts as one shared pass
+// (DecodeSaved N−1) whose N lanes are all fallbacks, and every lane —
+// timeline included — is bit-identical to the warm-store Run of its
+// configuration.
 func TestRunLanesStoreBypassFallback(t *testing.T) {
 	st := trace.SharedStore()
 	st.SetBudget(0)
@@ -82,19 +86,37 @@ func TestRunLanesStoreBypassFallback(t *testing.T) {
 	p := applu(t)
 	const n = 100_000
 	cfgs := laneMixConfigs(n)[:3]
+	cfgs = append(cfgs, cfgs[1].WithTimeline(timeline.Config{Enabled: true, IntervalInstructions: 10_000}))
 	before := ReadLaneStats()
+	bypassed := st.Stats().Bypasses
 	got := RunLanes(cfgs, p)
 	after := ReadLaneStats()
-	if after.Fallbacks != before.Fallbacks+uint64(len(cfgs)) {
-		t.Errorf("fallbacks advanced by %d, want %d",
-			after.Fallbacks-before.Fallbacks, len(cfgs))
+	if st.Stats().Bypasses == bypassed {
+		t.Fatal("store budget 0 did not bypass the stream")
 	}
-	if after.Batches != before.Batches {
-		t.Errorf("batches advanced on the fallback path")
+	if d := after.Batches - before.Batches; d != 1 {
+		t.Errorf("batches advanced by %d, want 1", d)
+	}
+	if d := after.Lanes - before.Lanes; d != uint64(len(cfgs)) {
+		t.Errorf("lanes advanced by %d, want %d", d, len(cfgs))
+	}
+	if d := after.DecodeSaved - before.DecodeSaved; d != uint64(len(cfgs)-1) {
+		t.Errorf("decode passes saved advanced by %d, want %d", d, len(cfgs)-1)
+	}
+	if d := after.Fallbacks - before.Fallbacks; d != uint64(len(cfgs)) {
+		t.Errorf("fallbacks advanced by %d, want %d", d, len(cfgs))
+	}
+	if got[len(cfgs)-1].Timeline == nil {
+		t.Error("generator-fed lane recorded no timeline")
+	}
+
+	st.SetBudget(trace.DefaultStoreBudget)
+	if st.Replay(p, n) == nil {
+		t.Fatal("warm store did not record the stream")
 	}
 	for i, c := range cfgs {
 		if want := Run(c, p); !reflect.DeepEqual(got[i], want) {
-			t.Errorf("fallback lane %d diverges from sequential run", i)
+			t.Errorf("generator-fed lane %d diverges from the warm-store run", i)
 		}
 	}
 }

@@ -100,6 +100,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Stream decode passes avoided versus sequential execution.",
 		lane(func(s LaneStats) uint64 { return s.DecodeSaved }))
 	r.NewCounterFunc("sim_lane_fallbacks_total",
-		"RunLanes simulations that fell back to sequential execution.",
+		"Lane simulations fed by the trace generator because the replay store bypassed their stream.",
 		lane(func(s LaneStats) uint64 { return s.Fallbacks }))
 }

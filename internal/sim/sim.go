@@ -133,10 +133,9 @@ type Result struct {
 	L2PolicyStats  policy.Stats
 
 	// Timeline is the per-interval flight-recorder series; nil unless
-	// Config.Timeline.Enabled and the run went through an instrumented
-	// executor (the fused loop or the lane executor — the generic
-	// interface loop, used when the trace store bypasses a stream, has no
-	// hierarchy to sample).
+	// Config.Timeline.Enabled. Every simulation runs on the lane executor,
+	// which samples the series whether the stream was replayed from the
+	// trace store or generated because the store bypassed it.
 	Timeline *timeline.Series
 }
 
@@ -149,9 +148,9 @@ func (r Result) MissRate() float64 { return r.ICache.MissRate() }
 // first run of a (benchmark, budget) pair records the generator stream
 // into a compact replay encoding, and every later run — any configuration,
 // any caller — replays it through a zero-allocation cursor instead of
-// paying per-instruction generation again. Replay is bit-identical to
-// generation (guarded by the trace property suite), so results do not
-// depend on store state.
+// paying per-instruction generation again. A stream the store bypasses is
+// generated directly. Replay is bit-identical to generation (guarded by
+// the trace property suite), so results do not depend on store state.
 func Run(cfg Config, prog trace.Program) Result {
 	return RunCtx(context.Background(), cfg, prog)
 }
@@ -168,11 +167,6 @@ func RunCtx(ctx context.Context, cfg Config, prog trace.Program) Result {
 	return res
 }
 
-// RunCtxE is RunCtx with the abort surfaced: when ctx cancels (or its
-// deadline expires) mid-run, the pipeline stops at the next 256-instruction
-// chunk boundary and RunCtxE returns a zero Result plus an error wrapping
-// cpu.ErrAborted and the cancellation cause. Aborted runs are never
-// assembled or counted in the process-wide simulation telemetry.
 // abortedBeforeStart is the abort error for work whose context was already
 // cancelled before its simulation started (zero instructions run). It wraps
 // cpu.ErrAborted so callers classify it like a mid-run abort.
@@ -180,6 +174,11 @@ func abortedBeforeStart(ctx context.Context) error {
 	return fmt.Errorf("%w before start: %w", cpu.ErrAborted, context.Cause(ctx))
 }
 
+// RunCtxE is RunCtx with the abort surfaced: when ctx cancels (or its
+// deadline expires) mid-run, the pipeline stops at the next 256-instruction
+// chunk boundary and RunCtxE returns a zero Result plus an error wrapping
+// cpu.ErrAborted and the cancellation cause. Aborted runs are never
+// assembled or counted in the process-wide simulation telemetry.
 func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error) {
 	// Check before any stream recording or hierarchy setup: a run queued
 	// behind a cancelled batch must abort in microseconds, not after paying
