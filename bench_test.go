@@ -209,7 +209,11 @@ func laneSweepConfigs(n int, instrs uint64) []SimConfig {
 // of its recorded stream — the inner loop of every sweep once the engine
 // cache and trace store are primed. Aggregate lane-instrs/s against
 // BenchmarkFullSystemSimulation's solo instrs/s is the per-lane saving
-// from sharing the decode and the branch-predictor walk.
+// from sharing the decode and the branch-predictor walk. The miss-bound
+// ladder is one fork class, stepped as one lane until the rungs' resize
+// decisions differ: stepped-lane-instrs/s counts only the instructions the
+// stage model actually advanced, so lane-instrs/s over it is the work the
+// fork class left out.
 func BenchmarkLaneSweep(b *testing.B) {
 	prog, err := BenchmarkByName("gcc")
 	if err != nil {
@@ -220,13 +224,14 @@ func BenchmarkLaneSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("%dlanes", lanes), func(b *testing.B) {
 			cfgs := laneSweepConfigs(lanes, instrs)
 			RunLanes(cfgs, prog) // prime the replay store
+			stepped0 := ReadLaneStats().SteppedInstructions
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				RunLanes(cfgs, prog)
 			}
-			b.ReportMetric(
-				float64(instrs)*float64(lanes)*float64(b.N)/b.Elapsed().Seconds(),
-				"lane-instrs/s")
+			secs := b.Elapsed().Seconds()
+			b.ReportMetric(float64(instrs)*float64(lanes)*float64(b.N)/secs, "lane-instrs/s")
+			b.ReportMetric(float64(ReadLaneStats().SteppedInstructions-stepped0)/secs, "stepped-lane-instrs/s")
 		})
 	}
 }

@@ -215,6 +215,8 @@ func laneMetricsFrom(snap obs.Snapshot) laneMetrics {
 		ExecBatches:   uint64(snap.Value("sim_lane_batches_total")),
 		ExecLanes:     uint64(snap.Value("sim_lane_lanes_total")),
 		Fallbacks:     uint64(snap.Value("sim_lane_fallbacks_total")),
+		Forks:         uint64(snap.Value("sim_lane_forks_total")),
+		Stepped:       uint64(snap.Value("sim_lane_stepped_instructions_total")),
 	}
 }
 

@@ -193,7 +193,10 @@ func (s *server) persistMetrics() persistMetrics {
 // process-wide executor counters underneath it (lock-step passes actually
 // run, including lanes from non-engine callers, and fallbacks: the lane
 // simulations fed by the trace generator because the replay store bypassed
-// their stream).
+// their stream; forks: lanes split off a fork class where the members' L1
+// i-cache resize decisions first differed; steppedInstructions: the
+// instructions the stage model actually advanced, summed over stepped
+// lanes).
 type laneMetrics struct {
 	Groups        uint64 `json:"groups"`
 	Batches       uint64 `json:"batches"`
@@ -203,6 +206,8 @@ type laneMetrics struct {
 	ExecBatches   uint64 `json:"execBatches"`
 	ExecLanes     uint64 `json:"execLanes"`
 	Fallbacks     uint64 `json:"fallbacks"`
+	Forks         uint64 `json:"forks"`
+	Stepped       uint64 `json:"steppedInstructions"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

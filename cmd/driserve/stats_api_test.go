@@ -30,7 +30,8 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	lanes := out["lanes"].(map[string]any)
 	for _, field := range []string{"groups", "batches", "lanes", "decodeSaved",
-		"lanesPerBatch", "execBatches", "execLanes", "fallbacks"} {
+		"lanesPerBatch", "execBatches", "execLanes", "fallbacks",
+		"forks", "steppedInstructions"} {
 		if _, ok := lanes[field].(float64); !ok {
 			t.Fatalf("lanes metrics missing %q: %v", field, lanes)
 		}
@@ -47,9 +48,11 @@ func TestStatsEndpoint(t *testing.T) {
 // TestStatsTrackLaneScheduler verifies a sweep advances the engine's lane
 // scheduler counters (each test server has a fresh engine, so the sweep's
 // simulations are this engine's first lane batches) and that /healthz
-// carries the same section.
+// carries the same section. The grid is one fork class, so the executor
+// steps fewer instructions than the batch simulates.
 func TestStatsTrackLaneScheduler(t *testing.T) {
 	ts := testServer(t)
+	stepped0 := getJSON(t, ts.URL+"/v1/stats", 200)["lanes"].(map[string]any)["steppedInstructions"].(float64)
 	const sweep = `{"benchmarks":["li"],"instructions":60000,"senseInterval":30000,` +
 		`"missBounds":[100,300],"sizeBounds":[1024,4096]}`
 	postJSON(t, ts.URL+"/v1/sweep", sweep, 200)
@@ -75,6 +78,9 @@ func TestStatsTrackLaneScheduler(t *testing.T) {
 	}
 	if got := lanes["execLanes"].(float64); got < 1 {
 		t.Errorf("executor lanes = %v after a sweep", got)
+	}
+	if got := lanes["steppedInstructions"].(float64) - stepped0; got <= 0 || got >= 5*60000 {
+		t.Errorf("stepped instructions = %v for five 60000-instruction lanes, want shared stepping", got)
 	}
 }
 

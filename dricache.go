@@ -113,8 +113,10 @@ type (
 	TraceStoreStats = trace.StoreStats
 	// LaneStats is a snapshot of the lane executor's process-wide counters:
 	// lock-step multi-lane passes run, the simulations they carried, the
-	// stream decode passes that saved, and the lane simulations fed by the
-	// generator because the store bypassed their stream (Fallbacks).
+	// stream decode passes that saved, the lane simulations fed by the
+	// generator because the store bypassed their stream (Fallbacks), the
+	// lanes split off fork classes (Forks), and the instructions the stage
+	// model actually advanced (SteppedInstructions).
 	LaneStats = sim.LaneStats
 	// EngineLaneStats counts an Engine's batch scheduler activity (lane
 	// groups formed, batches executed, decode passes saved); embedded in

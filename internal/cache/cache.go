@@ -118,6 +118,20 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
+// CopyFrom makes c's frame state and statistics a copy of src's; both
+// caches must have the same geometry.
+func (c *Cache) CopyFrom(src *Cache) {
+	if len(c.tags) != len(src.tags) || c.assoc != src.assoc {
+		panic("cache: CopyFrom between caches of different geometry")
+	}
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+	copy(c.dirty, src.dirty)
+	copy(c.lastUse, src.lastUse)
+	c.stamp = src.stamp
+	c.stats = src.stats
+}
+
 // Block converts a byte address to a block address.
 func (c *Cache) Block(addr uint64) uint64 { return addr >> c.offsetBits }
 

@@ -107,7 +107,7 @@ func TestRunLanesCtxAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cur := rep.Cursor()
-	out, err := RunLanesCtx(ctx, &cur, pipes)
+	out, _, err := RunLanesCtx(ctx, &cur, pipes)
 	if err == nil {
 		t.Fatal("cancelled RunLanesCtx returned nil error")
 	}

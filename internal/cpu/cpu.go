@@ -255,7 +255,9 @@ func (p *Pipeline) Run(stream isa.Stream) Result {
 // cause; callers must discard the Result as unfinished.
 func (p *Pipeline) RunCtx(ctx context.Context, stream isa.Stream) (Result, error) {
 	if h, ok := p.imem.(*mem.Hierarchy); ok && p.dmemIs(h) && p.tickIs(h) {
-		return p.runFused(ctx, isa.ChunksOf(stream), h)
+		// The one-lane case of the lane executor (lanes.go).
+		out, _, err := RunLanesCtx(ctx, isa.ChunksOf(stream), []*Pipeline{p})
+		return out[0], err
 	}
 	return p.runGeneric(ctx, stream)
 }
@@ -492,37 +494,4 @@ func (p *Pipeline) runGeneric(ctx context.Context, stream isa.Stream) (Result, e
 	res.Cycles = cmt
 	res.BPredStats = p.bp.Stats()
 	return res, nil
-}
-
-// runFused is runGeneric specialized to the whole-system simulation shape:
-// the stream is consumed chunk-at-a-time into a flat decoded buffer instead
-// of one interface call per instruction, and fetch/load/store/tick all
-// resolve to one concrete mem.Hierarchy, so the per-instruction calls
-// dispatch directly instead of through interfaces. It is the one-lane case
-// of the lane executor (lanes.go): the stage advance lives in
-// lane.stepChunk, shared with RunLanes. Cancellation is checked once per
-// chunk, before the decode, so an abort never pays for another
-// decode-plus-step pass; a non-cancellable context skips the check.
-func (p *Pipeline) runFused(ctx context.Context, src isa.ChunkSource, h *mem.Hierarchy) (Result, error) {
-	g := predLane{bp: p.bp}
-	ln := newLane(p.cfg, h, p.tick != nil, &g, p.rec)
-	done := ctx.Done()
-	var buf [laneChunk]isa.DecodedInstr
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				res := ln.finish()
-				return res, abortErr(ctx, res.Instructions)
-			default:
-			}
-		}
-		n := src.NextChunk(buf[:])
-		if n == 0 {
-			break
-		}
-		g.predictChunk(buf[:n])
-		ln.stepChunk(buf[:n])
-	}
-	return ln.finish(), nil
 }

@@ -7,10 +7,17 @@
 // with equal predictor configurations, the branch-predictor walk) from the
 // sweep's critical path while keeping every lane bit-identical to running
 // alone.
+//
+// Lanes that differ only in the L1 i-cache's miss-bound and size-bound go
+// further and share one lane while their state is the same: a DRI
+// controller consults those two thresholds only at a sense-interval
+// boundary, so such a fork class is stepped once until the members' resize
+// decisions first differ, and splits there.
 package cpu
 
 import (
 	"context"
+	"slices"
 
 	"dricache/internal/bpred"
 	"dricache/internal/dri"
@@ -119,19 +126,62 @@ type lane struct {
 	memo     *dri.Cache
 	memoHits uint64
 
-	// rec, when non-nil, is the interval flight recorder: every time count
-	// crosses recNext the lane snapshots its hierarchy. Disabled-recorder
-	// overhead is one nil check per chunk, outside the per-instruction
-	// stage advance.
+	// rec, when non-nil, is the first member's interval flight recorder:
+	// every time count crosses recNext at a chunk end the lane snapshots its
+	// hierarchy into every member's recorder. Disabled-recorder overhead is
+	// one nil check per chunk, outside the per-instruction stage advance.
 	rec     *timeline.Recorder
 	recNext uint64
+
+	// members are the pipelines whose state the lane currently is: one for
+	// a solo lane, the members of a fork class still together otherwise.
+	// members[0] owns h.
+	members []member
+	// nextDecision is the instruction count at whose tick the L1 i-cache
+	// controller decides next — where the members' thresholds may send them
+	// different ways — or never when the lane has nothing to split.
+	nextDecision uint64
+	// forkedAt is the instruction count the lane was forked at (0 for a
+	// lane of the original batch); resume is the chunk offset a lane forked
+	// mid-chunk starts stepping from.
+	forkedAt uint64
+	resume   int
 
 	res Result
 }
 
-// newLane builds the per-run state for one configuration over its own
-// hierarchy, drawing the stage rings from the shared pool.
-func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timeline.Recorder) *lane {
+// never is a nextDecision no instruction count reaches.
+const never = ^uint64(0)
+
+// member is one pipeline a lane simulates for: its result, recorder
+// samples and final hierarchy state all come from the lane.
+type member struct {
+	out    int                // the pipeline's index in the RunLanes input
+	h      *mem.Hierarchy     // the pipeline's own hierarchy
+	rec    *timeline.Recorder // the pipeline's recorder, nil when off
+	params dri.Params         // its effective L1 i-cache parameters
+	// floor and blocked are the member's L1 i-cache SizeBoundHits and
+	// BlockedDownsizes minus the lane hierarchy's: members whose decisions
+	// differed only in which way they held the size share a lane.
+	floor, blocked int64
+}
+
+// heldCounts returns what outcome o adds to SizeBoundHits and
+// BlockedDownsizes.
+func heldCounts(o dri.Outcome) (floor, blocked int64) {
+	switch o {
+	case dri.OutcomeFloor:
+		return 1, 0
+	case dri.OutcomeBlocked:
+		return 0, 1
+	}
+	return 0, 0
+}
+
+// newLane builds the per-run state for one configuration over the first
+// member's hierarchy, drawing the stage rings from the shared pool.
+func newLane(cfg Config, tick bool, pred *predLane, members []member) *lane {
+	h, rec := members[0].h, members[0].rec
 	rs := getRings(&cfg)
 	var memo *dri.Cache
 	if ic := h.ICache(); ic.WayMemoEnabled() {
@@ -159,19 +209,24 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 		memo:         memo,
 		rec:          rec,
 		recNext:      recNext,
+		members:      members,
+		nextDecision: never,
 	}
 }
 
-// stepChunk advances the lane by one decoded chunk. The lane's predLane
-// must already hold the chunk's prediction outcomes (predictChunk over the
-// same buf). Per-instruction, e.Seq is the PC-sequentiality signal
-// (isa.DecodedInstr.Seq: free from the replay encoding, one compare in the
-// StreamChunks adapter); when the PC is
+// stepChunk advances the lane over buf: a whole decoded chunk, or for a
+// fork class the sub-range up to its next L1 i-cache decision (laneSet.step
+// splits chunks there). outs holds the matching prediction outcomes — the
+// lane's predLane after predictChunk over the whole chunk, sliced alike.
+// The flight recorder is not sampled here but at chunk ends (chunkEnd), so
+// sub-ranges do not move the samples. Per-instruction, e.Seq is the
+// PC-sequentiality signal (isa.DecodedInstr.Seq: free from the replay
+// encoding, one compare in the StreamChunks adapter); when the PC is
 // additionally not block-aligned, the instruction provably shares the
 // previous instruction's fetch block, so the block compare (and any i-cache
 // traffic) is skipped without consulting curBlock. A constant-false Seq is
 // always correct — it is purely an accelerator. The lane's timing state is
-// staged into locals for the whole chunk, so the per-instruction stage
+// staged into locals for the whole range, so the per-instruction stage
 // advance runs register-to-register.
 //
 // NOTE: this is the timing model of runGeneric specialized to a concrete
@@ -180,8 +235,9 @@ func newLane(cfg Config, h *mem.Hierarchy, tick bool, pred *predLane, rec *timel
 // stream/memory/predictor call sites and the block-transition fast paths,
 // which fire exactly when runGeneric's `block != curBlock` is false or the
 // memoized way serves the fetch at zero cost).
-func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
+func (ln *lane) stepChunk(buf []isa.DecodedInstr, outs []predOut) {
 	cfg := &ln.cfg
+	outs = outs[:len(buf)]
 	var (
 		ft        = ln.ft
 		cmt       = ln.cmt
@@ -271,7 +327,7 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 			ln.h.Store(e.MemAddr)
 		case isa.Branch:
 			ln.res.Branches++
-			if o := ln.pred.outs[k]; o.mispred {
+			if o := outs[k]; o.mispred {
 				ln.res.Mispredicts++
 				redirect = ct + cfg.RedirectPenalty
 			} else if e.Taken && o.tgtMiss {
@@ -280,7 +336,7 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 				redirect = ct + cfg.RedirectPenalty
 			}
 		case isa.Jump, isa.Call, isa.Ret:
-			if ln.pred.outs[k].tgtMiss {
+			if outs[k].tgtMiss {
 				redirect = ct + cfg.RedirectPenalty
 			}
 		}
@@ -329,6 +385,12 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 	ln.redirect = redirect
 	ln.curBlock = curBlock
 	ln.count += uint64(len(buf))
+}
+
+// chunkEnd samples the flight recorder once count has crossed the next
+// sampling point. It runs at decoded-chunk ends only, whatever sub-ranges
+// the chunk was stepped in, so samples fall where a solo run takes them.
+func (ln *lane) chunkEnd() {
 	if ln.rec != nil && ln.count >= ln.recNext {
 		ln.recSample()
 		for ln.recNext <= ln.count {
@@ -337,7 +399,8 @@ func (ln *lane) stepChunk(buf []isa.DecodedInstr) {
 	}
 }
 
-// recSample snapshots the lane's hierarchy into the flight recorder. The
+// recSample snapshots the lane's hierarchy into every member's flight
+// recorder. The
 // hierarchy fills the cache/policy fields; the lane overlays its own
 // cursors plus any memo hits not yet flushed into the cache statistics
 // (AddMemoHits counts each hit as an access too, so pending hits are added
@@ -352,7 +415,9 @@ func (ln *lane) recSample() {
 		s.L1IAccesses += ln.memoHits
 		s.MemoHits += ln.memoHits
 	}
-	ln.rec.Record(s)
+	for _, m := range ln.members {
+		m.rec.Record(s)
+	}
 }
 
 // finish flushes the trailing tick batch, assembles the Result, and returns
@@ -379,27 +444,272 @@ func (ln *lane) finish() Result {
 	return ln.res
 }
 
+// planDecision sets nextDecision from the lane's position. Ticks fire every
+// TickBatch instructions and the L1 i-cache controller decides at the first
+// tick that completes another SenseInterval, so the next decision is the
+// next interval end rounded up to a whole tick. A lane with one member, no
+// ticker or no controller has nothing to split.
+func (ln *lane) planDecision() {
+	ln.nextDecision = never
+	p := ln.members[0].params
+	if len(ln.members) < 2 || !ln.tick || !p.Enabled {
+		return
+	}
+	si, tb := p.SenseInterval, ln.cfg.TickBatch
+	end := (ln.count/si + 1) * si
+	ln.nextDecision = (end + tb - 1) / tb * tb
+}
+
+// trailingDecision reports whether the tick finish flushes completes a
+// sense interval — the last decision of a run, split like the others.
+func (ln *lane) trailingDecision() bool {
+	if ln.nextDecision == never || ln.tickAccum == 0 {
+		return false
+	}
+	si := ln.members[0].params.SenseInterval
+	return ln.count/si > (ln.count-ln.tickAccum)/si
+}
+
+// fork returns a lane for ms in the state ln is in now: the first member's
+// own hierarchy becomes a deep copy of ln's, with that member's held
+// counts, and the timing state is cloned onto fresh rings.
+func (ln *lane) fork(ms []member) *lane {
+	h := ms[0].h
+	h.CopyFrom(ln.h)
+	h.ICache().AdjustHeldCounts(ms[0].floor, ms[0].blocked)
+	f := new(lane)
+	*f = *ln
+	f.h, f.rec, f.members, f.forkedAt = h, ms[0].rec, ms, ln.count
+	if ln.memo != nil {
+		f.memo = h.ICache()
+	}
+	f.rs = getRings(&f.cfg)
+	f.fetchRing, f.dispatchRing, f.commitRing = f.rs.fetch, f.rs.dispatch, f.rs.commit
+	f.portAvail, f.robRing, f.lsqRing = f.rs.port, f.rs.rob, f.rs.lsq
+	copy(f.fetchRing, ln.fetchRing)
+	copy(f.dispatchRing, ln.dispatchRing)
+	copy(f.commitRing, ln.commitRing)
+	copy(f.portAvail, ln.portAvail)
+	copy(f.robRing, ln.robRing)
+	copy(f.lsqRing, ln.lsqRing)
+	return f
+}
+
+// takeTick applies the tick withheld at a decision point and plans the
+// next one. The hierarchy decides under its own parameters, which are its
+// lane's members' shared outcome.
+func (ln *lane) takeTick() {
+	ln.h.Advance(ln.tickAccum, ln.ft)
+	ln.tickAccum = 0
+	ln.planDecision()
+}
+
 // laneFor validates that p has the fused whole-system shape (stream-side,
 // data-side, and ticker all one concrete mem.Hierarchy, or a nil ticker)
-// and builds its lane. It panics otherwise: RunLanes callers construct the
-// pipelines themselves, so a foreign memory model here is a programming
-// error, not a runtime condition.
-func laneFor(p *Pipeline, pred *predLane) *lane {
+// and returns that hierarchy. It panics otherwise: RunLanes callers
+// construct the pipelines themselves, so a foreign memory model here is a
+// programming error, not a runtime condition.
+func laneFor(p *Pipeline) *mem.Hierarchy {
 	h, ok := p.imem.(*mem.Hierarchy)
 	if !ok || !p.dmemIs(h) || !p.tickIs(h) {
 		panic("cpu: RunLanes requires pipelines whose memory interfaces are a single concrete mem.Hierarchy")
 	}
-	return newLane(p.cfg, h, p.tick != nil, pred, p.rec)
+	return h
+}
+
+// classKey identifies a fork class: pipelines whose core, predictor,
+// ticker, recorder interval and hierarchy fork class (mem.Config.ForkClass)
+// are equal.
+type classKey struct {
+	cpu  Config
+	bp   bpred.Config
+	tick bool
+	rec  uint64
+	mem  mem.Config
+}
+
+// forkClass returns p's fork class, or false when p must run alone: a
+// tick longer than the sense interval can carry two decisions, and the
+// second cannot be read off the state before the tick.
+func forkClass(p *Pipeline, h *mem.Hierarchy) (classKey, bool) {
+	if ip := h.ICache().Config().Params; ip.Enabled && ip.SenseInterval < p.cfg.TickBatch {
+		return classKey{}, false
+	}
+	k := classKey{cpu: p.cfg, bp: p.bp.Config(), tick: p.tick != nil, mem: h.Config().ForkClass()}
+	if p.rec != nil {
+		k.rec = p.rec.Interval()
+	}
+	return k, true
+}
+
+// LaneTally reports the work of one RunLanes pass.
+type LaneTally struct {
+	// Forks counts lanes split off a fork class where its members' L1
+	// i-cache decisions first differed.
+	Forks uint64
+	// SteppedInstructions counts instructions the stage model advanced,
+	// summed over the lanes actually stepped. Without fork classes it is
+	// the sum of the results' Instructions.
+	SteppedInstructions uint64
+}
+
+// laneSet is the lanes of one RunLanes pass: one per fork class at the
+// start, one more per fork.
+type laneSet struct {
+	preds []*predLane
+	lanes []*lane
+	forks uint64
+}
+
+func newLaneSet(pipes []*Pipeline) *laneSet {
+	s := &laneSet{}
+	byCfg := make(map[bpred.Config]*predLane, 1)
+	classes := make(map[classKey]*lane, 1)
+	for i, p := range pipes {
+		h := laneFor(p)
+		m := member{out: i, h: h, rec: p.rec, params: h.ICache().Config().Params}
+		key, shared := forkClass(p, h)
+		if ln := classes[key]; shared && ln != nil {
+			ln.members = append(ln.members, m)
+			continue
+		}
+		g := byCfg[p.bp.Config()]
+		if g == nil {
+			g = &predLane{bp: p.bp}
+			byCfg[p.bp.Config()] = g
+			s.preds = append(s.preds, g)
+		}
+		ln := newLane(p.cfg, p.tick != nil, g, []member{m})
+		if shared {
+			classes[key] = ln
+		}
+		s.lanes = append(s.lanes, ln)
+	}
+	for _, ln := range s.lanes {
+		ln.planDecision()
+	}
+	return s
+}
+
+// step advances ln over buf from its resume offset, stopping at each L1
+// i-cache decision inside the chunk. The decision instruction is stepped
+// with its tick withheld, so the members' outcomes are read off the state
+// before the decision, and decide splits the lane there.
+func (s *laneSet) step(ln *lane, buf []isa.DecodedInstr) {
+	outs := ln.pred.outs[:len(buf)]
+	from := ln.resume
+	ln.resume = 0
+	for from < len(buf) {
+		left := ln.nextDecision - ln.count
+		if left > uint64(len(buf)-from) {
+			ln.stepChunk(buf[from:], outs[from:])
+			return
+		}
+		at := from + int(left)
+		ln.stepChunk(buf[from:at-1], outs[from:at-1])
+		ln.tick = false
+		ln.stepChunk(buf[at-1:at], outs[at-1:at])
+		ln.tick = true
+		s.decide(ln, at)
+		from = at
+	}
+}
+
+// decide resolves the decision withheld at ln's current instruction.
+// Members whose parameters lead to the same state stay together: the same
+// resize, or any way of holding the size (their held counts settle in
+// member.floor and member.blocked). The group holding members[0] keeps ln,
+// and every other group forks a lane into its first member's hierarchy,
+// copied while ln's is still undecided. Forks resume stepping the current
+// chunk at offset resume. Every lane then takes the withheld tick, whose
+// decision its hierarchy makes under its first member's parameters.
+func (s *laneSet) decide(ln *lane, resume int) {
+	ic := ln.h.ICache()
+	var keys []dri.Outcome
+	var groups [][]member
+	var outcomes [][]dri.Outcome
+	for _, m := range ln.members {
+		o := ic.Outcome(m.params)
+		key := o
+		if o.Holds() {
+			key = dri.OutcomeHold
+		}
+		g := slices.Index(keys, key)
+		if g < 0 {
+			g = len(groups)
+			keys = append(keys, key)
+			groups = append(groups, nil)
+			outcomes = append(outcomes, nil)
+		}
+		groups[g] = append(groups[g], m)
+		outcomes[g] = append(outcomes[g], o)
+	}
+	for g, ms := range groups {
+		if g > 0 {
+			f := ln.fork(ms)
+			f.resume = resume
+			f.takeTick()
+			s.lanes = append(s.lanes, f)
+			s.forks++
+		}
+		// Rebase the held counts onto the group's hierarchy, which now
+		// holds its first member's.
+		head := ms[0]
+		hf, hb := heldCounts(outcomes[g][0])
+		for i := range ms {
+			f, b := heldCounts(outcomes[g][i])
+			ms[i].floor += f - hf - head.floor
+			ms[i].blocked += b - hb - head.blocked
+		}
+	}
+	ln.members = groups[0]
+	ln.takeTick()
+}
+
+// finish finishes every lane — splitting a decision the final tick
+// completes first — and hands each member its lane's result and final
+// hierarchy state, so every pipeline's hierarchy ends as a solo run's
+// would under its own configuration.
+func (s *laneSet) finish(n int) ([]Result, LaneTally) {
+	out := make([]Result, n)
+	var t LaneTally
+	for i := 0; i < len(s.lanes); i++ {
+		ln := s.lanes[i]
+		if ln.trailingDecision() {
+			s.decide(ln, 0)
+		}
+		res := ln.finish()
+		for _, m := range ln.members {
+			if m.h != ln.h {
+				m.h.CopyFrom(ln.h)
+				m.h.ICache().AdjustHeldCounts(m.floor, m.blocked)
+			}
+			out[m.out] = res
+		}
+		t.SteppedInstructions += ln.count - ln.forkedAt
+	}
+	t.Forks = s.forks
+	return out, t
 }
 
 // RunLanes consumes the chunk source once and advances one lane per
-// pipeline in lock-step, returning the per-lane results in input order.
-// The source is a replay cursor or, for a stream the trace store does not
-// hold, an isa.StreamChunks adapter over the generator: either way the
-// stream is decoded (or generated) once for all lanes. Each lane owns its
-// pipeline timing state and memory hierarchy, so every result is
-// bit-identical to running that pipeline alone over the same stream; the
-// lanes share only the immutable decoded instruction values.
+// fork class in lock-step, returning the per-pipeline results in input
+// order. The source is a replay cursor or, for a stream the trace store
+// does not hold, an isa.StreamChunks adapter over the generator: either
+// way the stream is decoded (or generated) once for all lanes. Every
+// result is bit-identical to running that pipeline alone over the same
+// stream; the lanes share only the immutable decoded instruction values.
+//
+// Pipelines whose configurations differ only in the L1 i-cache's
+// miss-bound and size-bound form a fork class, stepped as one lane on the
+// first member's hierarchy. At each sense-interval decision the members
+// are grouped by the state the controller's outcome under their own
+// parameters (dri.Cache.Outcome) leads to — one resize, or holding the
+// size in any way; each group after the first continues on a fork —
+// its first member's hierarchy deep-copied (mem.Hierarchy.CopyFrom) and
+// the timing state cloned. At the end each member's hierarchy receives its
+// lane's final state, so callers read results off every pipeline's own
+// hierarchy as after a solo run.
 //
 // Lanes whose predictors have equal configurations additionally share one
 // branch-predictor walk (the group's first predictor); prediction is
@@ -408,47 +718,30 @@ func laneFor(p *Pipeline, pred *predLane) *lane {
 // predictor that has already consumed instructions would diverge from its
 // group.
 func RunLanes(src isa.ChunkSource, pipes []*Pipeline) []Result {
-	out, _ := RunLanesCtx(context.Background(), src, pipes)
+	out, _, _ := RunLanesCtx(context.Background(), src, pipes)
 	return out
 }
 
-// RunLanesCtx is RunLanes under a context. Cancellation is checked once per
-// decoded chunk — before the decode, so an abort never pays for another
-// decode-plus-N-lane pass — and a non-cancellable context costs nothing.
-// On cancellation every lane is finished (partial results, rings returned
-// to the pool) and the error wraps ErrAborted with the context's cause;
-// the partial results must be discarded.
-func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, error) {
+// RunLanesCtx is RunLanes under a context, also reporting the pass's fork
+// and stepping tally. Cancellation is checked once per decoded chunk —
+// before the decode, so an abort never pays for another decode-plus-N-lane
+// pass — and a non-cancellable context costs nothing. On cancellation
+// every lane is finished (partial results, rings returned to the pool) and
+// the error wraps ErrAborted with the context's cause; the partial results
+// must be discarded.
+func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([]Result, LaneTally, error) {
 	if len(pipes) == 0 {
-		return nil, nil
+		return nil, LaneTally{}, nil
 	}
-	lanes := make([]*lane, len(pipes))
-	var groups []*predLane
-	byCfg := make(map[bpred.Config]*predLane, 1)
-	for i, p := range pipes {
-		g := byCfg[p.bp.Config()]
-		if g == nil {
-			g = &predLane{bp: p.bp}
-			byCfg[p.bp.Config()] = g
-			groups = append(groups, g)
-		}
-		lanes[i] = laneFor(p, g)
-	}
-	finish := func() []Result {
-		out := make([]Result, len(lanes))
-		for i, ln := range lanes {
-			out[i] = ln.finish()
-		}
-		return out
-	}
+	s := newLaneSet(pipes)
 	done := ctx.Done()
 	var buf [laneChunk]isa.DecodedInstr
 	for {
 		if done != nil {
 			select {
 			case <-done:
-				out := finish()
-				return out, abortErr(ctx, out[0].Instructions)
+				out, t := s.finish(len(pipes))
+				return out, t, abortErr(ctx, out[0].Instructions)
 			default:
 			}
 		}
@@ -456,12 +749,17 @@ func RunLanesCtx(ctx context.Context, src isa.ChunkSource, pipes []*Pipeline) ([
 		if n == 0 {
 			break
 		}
-		for _, g := range groups {
+		for _, g := range s.preds {
 			g.predictChunk(buf[:n])
 		}
-		for _, ln := range lanes {
-			ln.stepChunk(buf[:n])
+		// Forks append to s.lanes and step the rest of this chunk here too.
+		for i := 0; i < len(s.lanes); i++ {
+			s.step(s.lanes[i], buf[:n])
+		}
+		for _, ln := range s.lanes {
+			ln.chunkEnd()
 		}
 	}
-	return finish(), nil
+	out, t := s.finish(len(pipes))
+	return out, t, nil
 }

@@ -75,6 +75,15 @@ func (d *DataCache) Reset() {
 	d.dstats = DataStats{}
 }
 
+// CopyFrom makes d's state a deep copy of src's, dirty bits and write
+// statistics included, keeping d's own configuration and handlers (see
+// Cache.CopyFrom).
+func (d *DataCache) CopyFrom(src *DataCache) {
+	d.Cache.CopyFrom(&src.Cache)
+	copy(d.dirty, src.dirty)
+	d.dstats = src.dstats
+}
+
 // SetWritebackHandler registers a sink for writeback traffic (e.g. the L2).
 func (d *DataCache) SetWritebackHandler(h func(block uint64, cause WritebackCause)) {
 	d.onWriteback = h

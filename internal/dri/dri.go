@@ -20,7 +20,9 @@ package dri
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Params are the DRI adaptive-mechanism parameters (§2.1 of the paper).
@@ -389,6 +391,36 @@ func (c *Cache) Reset() {
 	c.clearMemo()
 }
 
+// CopyFrom makes c's state a deep copy of src's — frame arrays, link
+// registers, interval and throttle machinery, statistics, the resize log
+// and size residency — while c keeps its own configuration (and the
+// size-bound limits derived from it) and its registered hooks. The two
+// caches must share geometry and way-memoization table size; only their
+// adaptive parameters may differ. The lane executor uses it to fork a
+// simulation whose thresholds have just sent it a different way.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.totalSets != src.totalSets || c.assoc != src.assoc || len(c.memoBlock) != len(src.memoBlock) {
+		panic("dri: CopyFrom between caches of different geometry")
+	}
+	own := *c
+	*c = *src
+	c.cfg, c.minSets, c.minWays = own.cfg, own.minSets, own.minWays
+	c.onInvalidate, c.onAccess = own.onInvalidate, own.onAccess
+	c.tags = append(own.tags[:0], src.tags...)
+	c.valid = append(own.valid[:0], src.valid...)
+	c.lastUse = append(own.lastUse[:0], src.lastUse...)
+	c.memoBlock = append(own.memoBlock[:0], src.memoBlock...)
+	c.memoFrame = append(own.memoFrame[:0], src.memoFrame...)
+	if src.lastResize != nil {
+		last := *src.lastResize
+		c.lastResize = &last
+	}
+	c.sizeResidency = own.sizeResidency
+	clear(c.sizeResidency)
+	maps.Copy(c.sizeResidency, src.sizeResidency)
+	c.events = slices.Clone(src.events)
+}
+
 // EnableWayMemo activates way memoization with a link table of the given
 // entry count (0 = one entry per set). The count must be a power of two —
 // internal/policy validates user input; this panics on an internal misuse.
@@ -614,47 +646,62 @@ func (c *Cache) Advance(instrs, nowCycles uint64) {
 	}
 }
 
-// endInterval applies the paper's decision rule (Figure 1): compare the
-// interval's miss count against the miss-bound and resize.
-func (c *Cache) endInterval(nowCycles uint64) {
-	c.intervalIndex++
-	c.stats.Intervals++
+// Outcome is what one sense-interval decision does to the cache. Outcome
+// reports it without side effects and endInterval applies it, so two caches
+// in the same state whose parameters yield the same Outcome are still in
+// the same state after the decision.
+type Outcome uint8
+
+const (
+	// OutcomeHold changes nothing beyond the interval bookkeeping: the miss
+	// count sat exactly at the bound, or an upsize found the cache already
+	// at full size.
+	OutcomeHold Outcome = iota
+	// OutcomeUpsize grows the cache by one step.
+	OutcomeUpsize
+	// OutcomeDownsize shrinks the cache by one step.
+	OutcomeDownsize
+	// OutcomeFloor suppresses a downsize at the size-bound (SizeBoundHits).
+	OutcomeFloor
+	// OutcomeBlocked suppresses a downsize while throttled
+	// (BlockedDownsizes).
+	OutcomeBlocked
+	// OutcomeNoReference skips the decision because a dynamic miss-bound
+	// has no full-size reference yet.
+	OutcomeNoReference
+)
+
+// Holds reports whether the outcome keeps the current size. Every holding
+// outcome leaves the same state behind apart from the SizeBoundHits and
+// BlockedDownsizes counters (see AdjustHeldCounts).
+func (o Outcome) Holds() bool { return o != OutcomeUpsize && o != OutcomeDownsize }
+
+// AdjustHeldCounts adds floor to SizeBoundHits and blocked to
+// BlockedDownsizes; either may be negative. The lane executor keeps
+// simulations whose decisions differed only in which way they held in one
+// state and settles these two counters per simulation with it.
+func (c *Cache) AdjustHeldCounts(floor, blocked int64) {
+	c.stats.SizeBoundHits = uint64(int64(c.stats.SizeBoundHits) + floor)
+	c.stats.BlockedDownsizes = uint64(int64(c.stats.BlockedDownsizes) + blocked)
+}
+
+// Outcome returns the decision the controller would take, under
+// parameters p, at the end of the current sense interval — what
+// endInterval does next for a cache configured with p. It reads only the
+// controller state, never the cache's own Params, so one cache state can
+// be asked about several parameter sets; it changes nothing.
+func (c *Cache) Outcome(p Params) Outcome {
 	misses := c.intervalMisses
-	c.intervalMisses = 0
-
-	if c.throttleBlocked > 0 {
-		c.throttleBlocked--
-	}
-
-	p := c.cfg.Params
 	bound := p.MissBound
 	if p.AutoMissBoundFactor > 0 {
-		intervalAccesses := c.stats.Accesses - c.lastAccessMark
-		c.lastAccessMark = c.stats.Accesses
-		atFull := c.activeSets == c.totalSets && c.activeWays == c.assoc
-		// Update the full-size reference only from steady intervals: skip
-		// the cold-start interval and any interval right after a resize
-		// (its §2.3.1 remap misses are not conventional-cache behaviour).
-		if atFull && !c.resizedLastIval {
-			const alpha = 0.25
-			switch {
-			case !c.fullSizeSkipped:
-				c.fullSizeSkipped = true
-			case !c.fullSizeRefValid:
-				c.fullSizeMissAvg = float64(misses)
-				c.fullSizeRefValid = true
-			default:
-				c.fullSizeMissAvg += alpha * (float64(misses) - c.fullSizeMissAvg)
-			}
+		avg, _, valid := c.autoReference(misses)
+		if !valid {
+			return OutcomeNoReference // hold until a steady-state reference exists
 		}
-		c.resizedLastIval = false
-		if !c.fullSizeRefValid {
-			return // hold until a steady-state reference exists
-		}
-		bound = uint64(p.AutoMissBoundFactor * c.fullSizeMissAvg)
+		bound = uint64(p.AutoMissBoundFactor * avg)
 		// The bound is meaningless above the access count the interval can
 		// produce; cap it so thrashing is always detectable.
-		if ceiling := intervalAccesses / 2; bound > ceiling {
+		if ceiling := (c.stats.Accesses - c.lastAccessMark) / 2; bound > ceiling {
 			bound = ceiling
 		}
 		if bound == 0 {
@@ -663,23 +710,80 @@ func (c *Cache) endInterval(nowCycles uint64) {
 	}
 	switch {
 	case misses > bound:
-		c.resize(Upsize, misses, nowCycles)
+		if c.activeSets == c.totalSets && c.activeWays == c.assoc {
+			return OutcomeHold // already at full size: resize is a no-op
+		}
+		return OutcomeUpsize
 	case misses < bound:
-		atFloor := c.activeSets/p.Divisibility < c.minSets
+		floor := c.cfg
+		floor.Params = p
+		atFloor := c.activeSets/p.Divisibility < floor.MinSets()
 		if p.ResizeWays {
-			atFloor = c.activeWays-1 < c.minWays
+			atFloor = c.activeWays-1 < floor.MinWays()
 		}
 		if atFloor {
-			c.stats.SizeBoundHits++
-			return
+			return OutcomeFloor
 		}
-		if c.throttleBlocked > 0 {
-			c.stats.BlockedDownsizes++
-			return
+		// endInterval counts the blocking interval down before deciding.
+		if c.throttleBlocked > 1 {
+			return OutcomeBlocked
 		}
+		return OutcomeDownsize
+	}
+	return OutcomeHold // exactly at the bound
+}
+
+// autoReference returns the dynamic miss-bound's full-size reference
+// (EWMA, cold-start skip flag, validity) as it stands after an interval
+// with the given miss count. Only steady intervals update it: the
+// cold-start interval and any interval right after a resize (its §2.3.1
+// remap misses are not conventional-cache behaviour) are skipped.
+func (c *Cache) autoReference(misses uint64) (avg float64, skipped, valid bool) {
+	avg, skipped, valid = c.fullSizeMissAvg, c.fullSizeSkipped, c.fullSizeRefValid
+	atFull := c.activeSets == c.totalSets && c.activeWays == c.assoc
+	if atFull && !c.resizedLastIval {
+		const alpha = 0.25
+		switch {
+		case !skipped:
+			skipped = true
+		case !valid:
+			avg = float64(misses)
+			valid = true
+		default:
+			avg += alpha * (float64(misses) - avg)
+		}
+	}
+	return avg, skipped, valid
+}
+
+// endInterval applies the paper's decision rule (Figure 1): compare the
+// interval's miss count against the miss-bound and resize. The decision
+// itself is Outcome under the cache's own parameters; this is the step
+// that applies it.
+func (c *Cache) endInterval(nowCycles uint64) {
+	p := c.cfg.Params
+	o := c.Outcome(p)
+	misses := c.intervalMisses
+	c.intervalIndex++
+	c.stats.Intervals++
+	c.intervalMisses = 0
+	if c.throttleBlocked > 0 {
+		c.throttleBlocked--
+	}
+	if p.AutoMissBoundFactor > 0 {
+		c.fullSizeMissAvg, c.fullSizeSkipped, c.fullSizeRefValid = c.autoReference(misses)
+		c.lastAccessMark = c.stats.Accesses
+		c.resizedLastIval = false
+	}
+	switch o {
+	case OutcomeUpsize:
+		c.resize(Upsize, misses, nowCycles)
+	case OutcomeDownsize:
 		c.resize(Downsize, misses, nowCycles)
-	default:
-		// Exactly at the bound: hold.
+	case OutcomeFloor:
+		c.stats.SizeBoundHits++
+	case OutcomeBlocked:
+		c.stats.BlockedDownsizes++
 	}
 }
 

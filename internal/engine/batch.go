@@ -42,8 +42,9 @@ func groupKeyFor(prog trace.Program, budget uint64) groupKey {
 	return groupKey{prog: hex.EncodeToString(h.Sum(nil)), budget: budget}
 }
 
-// lanesFor sizes the batches of one lane group. More lanes per batch share
-// one decode across more simulations; more batches keep more workers busy.
+// lanesFor sizes the batches of one lane group (partition then keeps fork
+// classes whole). More lanes per batch share one decode across more
+// simulations; more batches keep more workers busy.
 // The automatic policy resolves the tension in favor of utilization: with
 // at least as many groups as workers every group runs whole (maximum
 // sharing), otherwise each group splits into about workers/groups batches
@@ -62,6 +63,45 @@ func lanesFor(groupSize, numGroups, workers, limit int) int {
 		lanes = 1
 	}
 	return lanes
+}
+
+// partition cuts one lane group's claims into batches of about lanes
+// claims without separating a fork class (sim.ForkClass): a class is
+// stepped as one lane until its members' resize decisions differ, so a
+// class split across batches would step its shared part once per batch.
+// Classes are packed whole, in order of first appearance, into batches of
+// at most lanes claims; a larger class gets a batch of its own, cut only
+// where it exceeds a positive limit (SetLanes).
+func partition(claims []*laneClaim, lanes, limit int) [][]*laneClaim {
+	var classes [][]*laneClaim
+	index := make(map[sim.Config]int)
+	for _, c := range claims {
+		k := sim.ForkClass(c.cfg)
+		i, ok := index[k]
+		if !ok {
+			i = len(classes)
+			index[k] = i
+			classes = append(classes, nil)
+		}
+		classes[i] = append(classes[i], c)
+	}
+	var out [][]*laneClaim
+	var cur []*laneClaim
+	for _, cl := range classes {
+		if len(cur) > 0 && len(cur)+len(cl) > lanes {
+			out = append(out, cur)
+			cur = nil
+		}
+		for limit > 0 && len(cl) > limit {
+			out = append(out, cl[:limit])
+			cl = cl[limit:]
+		}
+		cur = append(cur, cl...)
+	}
+	if len(cur) > 0 {
+		out = append(out, cur)
+	}
+	return out
 }
 
 // laneClaim is one simulation RunMany must actually execute: the first
@@ -205,9 +245,8 @@ func (e *Engine) RunManyCtx(ctx context.Context, reqs []Request) ([]sim.Result, 
 			continue // fully resolved from the persistence layer
 		}
 		lanes := lanesFor(len(g.claims), nonEmpty, workers, limit)
-		for start := 0; start < len(g.claims); start += lanes {
-			end := min(start+lanes, len(g.claims))
-			batches = append(batches, batch{prog: g.prog, claims: g.claims[start:end]})
+		for _, claims := range partition(g.claims, lanes, limit) {
+			batches = append(batches, batch{prog: g.prog, claims: claims})
 		}
 	}
 	// Groups are a batch-forming fact and counted here (only groups that

@@ -237,3 +237,77 @@ func TestCancelSettlesPromptly(t *testing.T) {
 		t.Fatal("RunManyCtx did not settle after cancel")
 	}
 }
+
+// TestCancelledForkedBatchRetriesCleanly cancels a lane batch after its
+// fork class has split: a Figure 3-style grid whose members' solo
+// timelines already differ before the cancel point, so the batch is
+// running forked lanes when it aborts. Nothing may be cached or counted,
+// and a retry must be bit-identical to solo runs.
+func TestCancelledForkedBatchRetriesCleanly(t *testing.T) {
+	prog, err := trace.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget, iv, cancelAt = 400_000, 20_000, 200_000
+	var reqs []Request
+	for _, mb := range []uint64{40, 160, 640} {
+		for _, sb := range []int{1 << 10, 64 << 10} {
+			cfg := quickDRI()
+			cfg.Params.SenseInterval = iv
+			cfg.Params.MissBound, cfg.Params.SizeBoundBytes = mb, sb
+			c := sim.Default(cfg, budget).WithTimeline(timeline.Config{Enabled: true, IntervalInstructions: iv})
+			reqs = append(reqs, Request{Config: c, Prog: prog})
+		}
+	}
+	solo := make([]sim.Result, len(reqs))
+	for i, q := range reqs {
+		solo[i] = sim.Run(q.Config, prog)
+	}
+	before := func(r sim.Result) []timeline.Point {
+		var pts []timeline.Point
+		for _, p := range r.Timeline.Points {
+			if p.EndInstructions < cancelAt {
+				pts = append(pts, p)
+			}
+		}
+		return pts
+	}
+	diverged := false
+	for _, r := range solo[1:] {
+		diverged = diverged || !reflect.DeepEqual(before(r), before(solo[0]))
+	}
+	if !diverged {
+		t.Fatal("the grid's members agree up to the cancel point; the batch would not have forked")
+	}
+
+	e := New(1) // one worker and one group: the whole class in one batch
+	lanes0 := sim.ReadLaneStats()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	ctx = timeline.WithSink(ctx, func(p timeline.Point) {
+		if p.EndInstructions >= cancelAt {
+			cancel(errors.New("test: after the fork"))
+		}
+	})
+	if _, err := e.RunManyCtx(ctx, reqs); !errors.Is(err, cpu.ErrAborted) {
+		t.Fatalf("RunManyCtx err = %v, want cpu.ErrAborted", err)
+	}
+	if s := e.Stats(); s.Entries != 0 || s.InFlight != 0 || s.Lanes.Batches != 0 {
+		t.Fatalf("after abort: %d entries, %d in flight, lanes %+v; want nothing cached or counted",
+			s.Entries, s.InFlight, s.Lanes)
+	}
+	if lanes1 := sim.ReadLaneStats(); lanes1 != lanes0 {
+		t.Fatalf("aborted batch moved the executor counters: %+v -> %+v", lanes0, lanes1)
+	}
+	got, err := e.RunManyCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("retry after abort: %v", err)
+	}
+	for i := range reqs {
+		if !reflect.DeepEqual(got[i], solo[i]) {
+			t.Fatalf("retry result %d diverges from its solo run", i)
+		}
+	}
+	if sim.ReadLaneStats().Forks == lanes0.Forks {
+		t.Fatal("the retried batch never forked")
+	}
+}

@@ -59,9 +59,11 @@ func TestRunManyGroupsAndSkipsCached(t *testing.T) {
 	if s.Lanes.Lanes != 9 {
 		t.Errorf("lanes = %d, want 9 (cached hit and duplicate skipped)", s.Lanes.Lanes)
 	}
-	// 4 workers over 2 groups: each group splits into 2 batches.
-	if s.Lanes.Batches != 4 {
-		t.Errorf("batches = %d, want 4", s.Lanes.Batches)
+	// 4 workers over 2 groups would split each group into 2 batches, but
+	// cfgAt points differ only in the miss-bound: each group is one fork
+	// class and stays one batch (see TestPartitionKeepsForkClasses).
+	if s.Lanes.Batches != 2 {
+		t.Errorf("batches = %d, want 2", s.Lanes.Batches)
 	}
 	if s.Lanes.DecodeSaved != s.Lanes.Lanes-s.Lanes.Batches {
 		t.Errorf("decodeSaved = %d, want lanes-batches = %d",
@@ -136,6 +138,94 @@ func TestLanesForPolicy(t *testing.T) {
 		if got := lanesFor(c.groupSize, c.numGroups, c.workers, c.limit); got != c.want {
 			t.Errorf("lanesFor(%d, %d, %d, %d) = %d, want %d",
 				c.groupSize, c.numGroups, c.workers, c.limit, got, c.want)
+		}
+	}
+}
+
+// TestPartitionKeepsForkClasses pins batch formation within one group:
+// distinct classes pack into batches of the lanesFor size, a fork class
+// (configurations equal but for the L1 i-cache miss-bound and size-bound)
+// is never split across batches unless it exceeds an explicit limit, and
+// every claim lands in exactly one batch.
+func TestPartitionKeepsForkClasses(t *testing.T) {
+	// Distinct classes: the sense interval differs.
+	distinct := func(i int) sim.Config {
+		cfg := quickDRI()
+		cfg.Params.SenseInterval = uint64(10_000 * (i + 1))
+		return sim.Default(cfg, quickInstrs)
+	}
+	// One class per size-bound family: the miss-bound varies within it.
+	member := func(class, i int) sim.Config {
+		cfg := quickDRI()
+		cfg.Params.SenseInterval = uint64(10_000 * (class + 1))
+		cfg.Params.MissBound = uint64(i + 1)
+		cfg.Params.SizeBoundBytes = 1 << (10 + i%3)
+		return sim.Default(cfg, quickInstrs)
+	}
+	claimsOf := func(cfgs ...sim.Config) []*laneClaim {
+		out := make([]*laneClaim, len(cfgs))
+		for i, c := range cfgs {
+			out[i] = &laneClaim{idx: i, cfg: c}
+		}
+		return out
+	}
+	sizes := func(bs [][]*laneClaim) []int {
+		var out []int
+		for _, b := range bs {
+			out = append(out, len(b))
+		}
+		return out
+	}
+	// The figure-3 shape on one benchmark: twelve grid points and the
+	// baseline, split for two workers (lanes 7): the grid stays whole.
+	var fig3 []sim.Config
+	for i := 0; i < 12; i++ {
+		fig3 = append(fig3, member(0, i))
+	}
+	fig3 = append(fig3, distinct(5))
+	interleaved := []sim.Config{member(0, 0), member(1, 0), member(0, 1), member(1, 1), member(0, 2), member(1, 2)}
+	var six []sim.Config
+	for i := 0; i < 6; i++ {
+		six = append(six, distinct(i))
+	}
+	var five []sim.Config
+	for i := 0; i < 5; i++ {
+		five = append(five, member(0, i))
+	}
+	cases := []struct {
+		name         string
+		cfgs         []sim.Config
+		lanes, limit int
+		want         []int
+	}{
+		{"distinct classes chunk by lanes", six, 4, 0, []int{4, 2}},
+		{"figure 3 grid stays whole", fig3, 7, 0, []int{12, 1}},
+		{"interleaved classes regroup", interleaved, 3, 0, []int{3, 3}},
+		{"small classes pack together", interleaved, 6, 0, []int{6}},
+		{"limit cuts an oversized class", five, 2, 2, []int{2, 2, 1}},
+	}
+	for _, c := range cases {
+		bs := partition(claimsOf(c.cfgs...), c.lanes, c.limit)
+		if got := sizes(bs); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: batch sizes %v, want %v", c.name, got, c.want)
+		}
+		seen := make(map[int]bool)
+		classBatch := make(map[sim.Config]int)
+		for bi, b := range bs {
+			for _, cl := range b {
+				if seen[cl.idx] {
+					t.Errorf("%s: claim %d in two batches", c.name, cl.idx)
+				}
+				seen[cl.idx] = true
+				k := sim.ForkClass(cl.cfg)
+				if prev, ok := classBatch[k]; ok && prev != bi && c.limit == 0 {
+					t.Errorf("%s: a fork class spans batches %d and %d", c.name, prev, bi)
+				}
+				classBatch[k] = bi
+			}
+		}
+		if len(seen) != len(c.cfgs) {
+			t.Errorf("%s: %d claims batched, want %d", c.name, len(seen), len(c.cfgs))
 		}
 	}
 }

@@ -21,7 +21,10 @@
 // regenerating the stream through the trace generator's PRNG machinery.
 package isa
 
-import "encoding/binary"
+import (
+	"context"
+	"encoding/binary"
+)
 
 // Meta-byte layout: class in the low four bits, flags above.
 const (
@@ -415,13 +418,34 @@ func (r *Recorder) Finish() *Replay {
 // RecordStream drains s through a recorder sized for sizeHint instructions
 // and returns the sealed Replay with its exactness.
 func RecordStream(s Stream, sizeHint uint64) (*Replay, bool) {
+	rep, exact, _ := RecordStreamCtx(context.Background(), s, sizeHint)
+	return rep, exact
+}
+
+// recordCheckEvery is how many instructions RecordStreamCtx records between
+// cancellation checks: the lane executor's chunk length.
+const recordCheckEvery = 256
+
+// RecordStreamCtx is RecordStream under a context, checked every
+// recordCheckEvery instructions; a non-cancellable context costs nothing.
+// On cancellation it stops recording and returns a nil Replay with the
+// context's cause.
+func RecordStreamCtx(ctx context.Context, s Stream, sizeHint uint64) (*Replay, bool, error) {
+	done := ctx.Done()
 	r := NewRecorder(sizeHint)
 	var ins Instr
-	for s.Next(&ins) {
+	for n := 1; s.Next(&ins); n++ {
 		r.Add(&ins)
+		if done != nil && n%recordCheckEvery == 0 {
+			select {
+			case <-done:
+				return nil, false, context.Cause(ctx)
+			default:
+			}
+		}
 	}
 	exact := r.Exact()
-	return r.Finish(), exact
+	return r.Finish(), exact, nil
 }
 
 // clip returns b in a buffer of exactly len(b) bytes.

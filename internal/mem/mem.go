@@ -263,6 +263,44 @@ func (h *Hierarchy) Reset() {
 	h.countL2DemandWB = false
 }
 
+// ForkClass returns c with the L1 i-cache's miss-bound and size-bound
+// cleared. Hierarchies of one fork class differ only in those two
+// thresholds, which the controller reads only at its interval decisions
+// (dri.Cache.Outcome), so over one stream they stay in the same state
+// until their decisions first differ.
+func (c Config) ForkClass() Config {
+	c.L1I.Params.MissBound = 0
+	c.L1I.Params.SizeBoundBytes = 0
+	return c
+}
+
+// Config returns the hierarchy's configuration.
+func (h *Hierarchy) Config() Config { return h.cfg }
+
+// CopyFrom makes h's simulation state a deep copy of src's: every cache's
+// frames, controller state, resize log and size residency, the per-line
+// policy runtimes, and the traffic counters. h keeps its own configuration
+// and hooks, so after the copy it carries on as src would have under h's
+// configuration. The two hierarchies must share geometry and policy kinds;
+// the lane executor copies only between configurations that differ in the
+// L1 i-cache's miss-bound and size-bound.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.l1i.CopyFrom(src.l1i)
+	h.l1d.CopyFrom(src.l1d)
+	h.l2.CopyFrom(src.l2)
+	if (h.l1iPol == nil) != (src.l1iPol == nil) || (h.l2Pol == nil) != (src.l2Pol == nil) {
+		panic("mem: CopyFrom between hierarchies with different policies")
+	}
+	if h.l1iPol != nil {
+		h.l1iPol.CopyFrom(src.l1iPol)
+	}
+	if h.l2Pol != nil {
+		h.l2Pol.CopyFrom(src.l2Pol)
+	}
+	h.stats = src.stats
+	h.countL2DemandWB = src.countL2DemandWB
+}
+
 // FetchBlock implements cpu.IMem: an instruction fetch of the given L1I
 // block address. A hit costs nothing extra; a miss goes to L2 and possibly
 // memory, and fills the i-cache. The policy-free hit path — the common case

@@ -100,6 +100,21 @@ func NewEngine(cfg Config, arr Array) *Engine {
 	return e
 }
 
+// CopyFrom makes e's per-line state, counters and integrals a copy of
+// src's, keeping e's own configuration and array. Both engines must govern
+// arrays of the same frame count.
+func (e *Engine) CopyFrom(src *Engine) {
+	if e.frames != src.frames {
+		panic("policy: CopyFrom between engines of different frame counts")
+	}
+	own := *e
+	*e = *src
+	e.cfg, e.arr = own.cfg, own.arr
+	e.lastTouch = append(own.lastTouch[:0], src.lastTouch...)
+	e.powered = append(own.powered[:0], src.powered...)
+	e.drowsy = append(own.drowsy[:0], src.drowsy...)
+}
+
 // Reset restores the engine to its just-constructed state (every frame
 // powered/awake, counters and integrals zeroed) while keeping its allocated
 // per-line arrays, so one instance can serve many runs.

@@ -9,7 +9,9 @@ package sim
 // further: decode-once/simulate-many). A stream the store bypasses is
 // generated once and fed to the lanes the same way. Each lane owns its
 // hierarchy, pipeline state, and statistics, so the results are
-// bit-identical to sequential runs.
+// bit-identical to sequential runs. Configurations that differ only in
+// the L1 i-cache's miss-bound and size-bound (a fork class, ForkClass) are
+// stepped as one lane until their resize decisions first differ.
 
 import (
 	"context"
@@ -28,8 +30,9 @@ import (
 )
 
 // LaneStats is a process-wide snapshot of lane-executor activity: how many
-// multi-lane passes ran, how many simulations they carried, and how many
-// stream-decode passes that saved versus sequential execution.
+// multi-lane passes ran, how many simulations they carried, how many
+// stream-decode passes that saved versus sequential execution, and how
+// much stage-model work fork classes left out.
 type LaneStats struct {
 	// Batches counts multi-lane executions (one shared decode or
 	// generation pass each).
@@ -41,12 +44,22 @@ type LaneStats struct {
 	// Fallbacks counts lane simulations fed by the generator because the
 	// trace store bypassed their stream (a subset of Lanes).
 	Fallbacks uint64
+	// Forks counts lanes split off a fork class where its members' L1
+	// i-cache resize decisions first differed.
+	Forks uint64
+	// SteppedInstructions counts the instructions the pipeline stage model
+	// advanced in those executions, summed over the lanes actually
+	// stepped. Against Σ Instructions of the lanes' results it is the share
+	// of lane work fork classes still had to do.
+	SteppedInstructions uint64
 }
 
 var (
 	laneBatches   atomic.Uint64
 	laneLanes     atomic.Uint64
 	laneFallbacks atomic.Uint64
+	laneForks     atomic.Uint64
+	laneStepped   atomic.Uint64
 )
 
 // ReadLaneStats returns the process-wide lane-executor counters. Batches
@@ -57,11 +70,22 @@ func ReadLaneStats() LaneStats {
 	b := laneBatches.Load()
 	l := laneLanes.Load()
 	return LaneStats{
-		Batches:     b,
-		Lanes:       l,
-		DecodeSaved: l - b,
-		Fallbacks:   laneFallbacks.Load(),
+		Batches:             b,
+		Lanes:               l,
+		DecodeSaved:         l - b,
+		Fallbacks:           laneFallbacks.Load(),
+		Forks:               laneForks.Load(),
+		SteppedInstructions: laneStepped.Load(),
 	}
+}
+
+// ForkClass returns the fork class of cfg: cfg with its hierarchy's fork
+// class (mem.Config.ForkClass). Configurations of one class over one
+// stream are stepped as a single lane until their resize decisions differ
+// (cpu.RunLanes), so batch formation keeps a class in one batch.
+func ForkClass(cfg Config) Config {
+	cfg.Mem = cfg.Mem.ForkClass()
+	return cfg
 }
 
 // hierPools caches constructed hierarchies per exact mem.Config. A Table 1
@@ -117,7 +141,8 @@ func releaseHierarchy(cfg mem.Config, h *mem.Hierarchy) {
 // isa.StreamChunks adapter. Either way it is one stream pass for N
 // simulations. Lanes with equal branch-predictor configurations further
 // share one predictor walk (prediction is stream-driven, so outcomes and
-// statistics are exactly those of a solo run).
+// statistics are exactly those of a solo run), and lanes of one fork class
+// (ForkClass) are stepped once until their resize decisions differ.
 func RunLanes(cfgs []Config, prog trace.Program) []Result {
 	out, _ := RunLanesCtx(context.Background(), cfgs, prog)
 	return out
@@ -161,7 +186,11 @@ func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Resu
 	_, sp := obs.StartSpan(ctx, "stream_decode")
 	sp.SetAttr("benchmark", prog.Name)
 	var src isa.ChunkSource
-	rep := trace.SharedStore().Replay(prog, budget)
+	rep, err := trace.SharedStore().ReplayCtx(ctx, prog, budget)
+	if err != nil {
+		sp.End()
+		return out, abortedRecording(ctx)
+	}
 	generated := rep == nil
 	if generated {
 		src = isa.ChunksOf(prog.Stream(budget))
@@ -171,7 +200,10 @@ func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Resu
 	}
 	sp.End()
 
-	var abortErr error
+	var (
+		abortErr error
+		tally    cpu.LaneTally
+	)
 	pprof.Do(ctx, pprof.Labels("benchmark", prog.Name, "lanes", strconv.Itoa(len(cfgs))),
 		func(ctx context.Context) {
 			hs := make([]*mem.Hierarchy, len(cfgs))
@@ -195,7 +227,8 @@ func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Resu
 			}
 			_, sp := obs.StartSpan(ctx, "pipeline")
 			sp.SetAttr("lanes", strconv.Itoa(len(cfgs)))
-			cpuRes, err := cpu.RunLanesCtx(ctx, src, pipes)
+			cpuRes, t, err := cpu.RunLanesCtx(ctx, src, pipes)
+			tally = t
 			sp.End()
 			if err != nil {
 				// Aborted mid-batch: the hierarchies hold partial state, but
@@ -221,6 +254,8 @@ func RunLanesCtx(ctx context.Context, cfgs []Config, prog trace.Program) ([]Resu
 	if generated {
 		laneFallbacks.Add(uint64(len(cfgs)))
 	}
+	laneForks.Add(tally.Forks)
+	laneStepped.Add(tally.SteppedInstructions)
 	laneLanes.Add(uint64(len(cfgs)))
 	laneBatches.Add(1)
 	return out, nil

@@ -102,4 +102,10 @@ func RegisterMetrics(r *obs.Registry) {
 	r.NewCounterFunc("sim_lane_fallbacks_total",
 		"Lane simulations fed by the trace generator because the replay store bypassed their stream.",
 		lane(func(s LaneStats) uint64 { return s.Fallbacks }))
+	r.NewCounterFunc("sim_lane_forks_total",
+		"Lanes split off a fork class where its members' L1 i-cache resize decisions first differed.",
+		lane(func(s LaneStats) uint64 { return s.Forks }))
+	r.NewCounterFunc("sim_lane_stepped_instructions_total",
+		"Instructions the pipeline stage model advanced in multi-lane executions, summed over the lanes actually stepped.",
+		lane(func(s LaneStats) uint64 { return s.SteppedInstructions }))
 }

@@ -14,6 +14,7 @@ import (
 	"dricache/internal/cpu"
 	"dricache/internal/dri"
 	"dricache/internal/energy"
+	"dricache/internal/isa"
 	"dricache/internal/mem"
 	"dricache/internal/obs"
 	"dricache/internal/policy"
@@ -174,6 +175,12 @@ func abortedBeforeStart(ctx context.Context) error {
 	return fmt.Errorf("%w before start: %w", cpu.ErrAborted, context.Cause(ctx))
 }
 
+// abortedRecording is the abort error for work cancelled while its stream
+// was being recorded into the trace store (zero instructions simulated).
+func abortedRecording(ctx context.Context) error {
+	return fmt.Errorf("%w while recording the stream: %w", cpu.ErrAborted, context.Cause(ctx))
+}
+
 // RunCtxE is RunCtx with the abort surfaced: when ctx cancels (or its
 // deadline expires) mid-run, the pipeline stops at the next 256-instruction
 // chunk boundary and RunCtxE returns a zero Result plus an error wrapping
@@ -198,8 +205,20 @@ func RunCtxE(ctx context.Context, cfg Config, prog trace.Program) (Result, error
 			rec := newRecorder(ctx, cfg)
 			pipe.SetTimeline(rec)
 			_, sp := obs.StartSpan(ctx, "stream_decode")
-			stream := trace.StreamFor(prog, cfg.Instructions)
+			rep, rerr := trace.SharedStore().ReplayCtx(ctx, prog, cfg.Instructions)
 			sp.End()
+			if rerr != nil {
+				releaseHierarchy(cfg.Mem, h)
+				err = abortedRecording(ctx)
+				return
+			}
+			var stream isa.Stream
+			if rep != nil {
+				cur := rep.Cursor()
+				stream = &cur
+			} else {
+				stream = prog.Stream(cfg.Instructions)
+			}
 			_, sp = obs.StartSpan(ctx, "pipeline")
 			var cpuRes cpu.Result
 			cpuRes, err = pipe.RunCtx(ctx, stream)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
 	"log/slog"
 	"testing"
 	"time"
@@ -136,5 +138,53 @@ func TestStorePersistedReplayCorruptFallsBack(t *testing.T) {
 	}
 	if st := pp.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// TestReplayCtxCancelAbandonsRecording cancels a recording in progress:
+// ReplayCtx returns the cancellation cause, the store keeps no entry, the
+// persistence layer receives nothing, and the next request records afresh
+// a stream identical to the generator's.
+func TestReplayCtxCancelAbandonsRecording(t *testing.T) {
+	const instrs = 100_000
+	p, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := persist.NewMemFS()
+	s := NewStore(DefaultStoreBudget)
+	s.SetPersist(openPersist(t, fs))
+	cause := errors.New("test: cancel the recording")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause) // the recorder sees it at its first check
+	if rep, err := s.ReplayCtx(ctx, p, instrs); rep != nil || !errors.Is(err, cause) {
+		t.Fatalf("cancelled ReplayCtx = (%v, %v), want (nil, %v)", rep, err, cause)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("abandoned recording left state behind: %+v", st)
+	}
+	flush, done := context.WithTimeout(context.Background(), 10*time.Second)
+	defer done()
+	if err := s.persistStore().Flush(flush); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	key := keyFor(p, instrs)
+	if _, ok := s.persistStore().Load(persist.KindTrace, hex.EncodeToString(key[:])); ok {
+		t.Fatal("abandoned recording was persisted")
+	}
+	rep, err := s.ReplayCtx(context.Background(), p, instrs)
+	if err != nil || rep == nil {
+		t.Fatalf("retry = (%v, %v), want a recording", rep, err)
+	}
+	cur := rep.Cursor()
+	gen := p.Stream(instrs)
+	var a, b isa.Instr
+	for gen.Next(&a) {
+		if !cur.Next(&b) || a != b {
+			t.Fatal("retried recording diverges from the generator")
+		}
+	}
+	if cur.Next(&b) {
+		t.Fatal("retried recording is longer than the stream")
 	}
 }

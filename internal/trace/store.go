@@ -19,6 +19,7 @@ package trace
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -204,7 +205,7 @@ func (s *Store) Stream(p Program, totalInstrs uint64) isa.Stream {
 	if err := p.Check(); err != nil {
 		panic(err)
 	}
-	if rep := s.replay(p, totalInstrs); rep != nil {
+	if rep, _ := s.replay(context.Background(), p, totalInstrs); rep != nil {
 		cur := rep.Cursor()
 		return &cur
 	}
@@ -215,10 +216,22 @@ func (s *Store) Stream(p Program, totalInstrs uint64) isa.Stream {
 // now if absent, or nil when the stream bypasses the store (budget too
 // small). The returned Replay is shared and immutable.
 func (s *Store) Replay(p Program, totalInstrs uint64) *isa.Replay {
+	rep, _ := s.ReplayCtx(context.Background(), p, totalInstrs)
+	return rep
+}
+
+// ReplayCtx is Replay under a context. A recording in progress checks ctx
+// every few hundred instructions, and a request waiting on another's
+// recording stops waiting, so a cancelled caller returns promptly with
+// the context's cause instead of a Replay. A recording cut short is
+// abandoned: the entry is dropped (a waiting request falls back to the
+// generator this once, a later one records afresh) and nothing is
+// persisted.
+func (s *Store) ReplayCtx(ctx context.Context, p Program, totalInstrs uint64) (*isa.Replay, error) {
 	if err := p.Check(); err != nil {
 		panic(err)
 	}
-	return s.replay(p, totalInstrs)
+	return s.replay(ctx, p, totalInstrs)
 }
 
 // admitDivisor bounds a single recording to this fraction of the budget:
@@ -229,7 +242,7 @@ func (s *Store) Replay(p Program, totalInstrs uint64) *isa.Replay {
 // generator instead.
 const admitDivisor = 4
 
-func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
+func (s *Store) replay(ctx context.Context, p Program, totalInstrs uint64) (*isa.Replay, error) {
 	key := keyFor(p, totalInstrs)
 	s.mu.Lock()
 	// Completed (or in-flight) recordings are served regardless of the
@@ -240,15 +253,20 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 			s.lru.MoveToFront(ent.elem)
 		}
 		s.mu.Unlock()
-		<-ent.done
-		// rep is nil only if the recording was abandoned (inexact encoding);
-		// the entry was removed, so callers simply fall back this once.
-		return ent.rep
+		select {
+		case <-ent.done:
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+		// rep is nil only if the recording was abandoned (inexact encoding
+		// or a cancelled recorder); the entry was removed, so callers simply
+		// fall back this once.
+		return ent.rep, nil
 	}
 	if s.budget <= 0 || int64(totalInstrs)*estBytesPerInstr > s.budget/admitDivisor {
 		s.bypasses++
 		s.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	ent := &storeEntry{key: key, done: make(chan struct{})}
 	s.entries[key] = ent
@@ -257,8 +275,8 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 
 	// Record outside the lock; concurrent requests for the same stream are
 	// waiting on ent.done, requests for other streams proceed unhindered.
-	// On a generator panic (impossible after Check, but be safe) the entry
-	// is abandoned so later requests retry.
+	// On a generator panic (impossible after Check, but be safe) or a
+	// cancelled recording the entry is abandoned so later requests retry.
 	completed := false
 	defer func() {
 		if !completed {
@@ -284,14 +302,17 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 		s.evictLocked()
 		s.mu.Unlock()
 		close(ent.done)
-		return rep
+		return rep, nil
 	}
 
-	rep, exact := isa.RecordStream(p.Stream(totalInstrs), totalInstrs)
+	rep, exact, err := isa.RecordStreamCtx(ctx, p.Stream(totalInstrs), totalInstrs)
+	if err != nil {
+		return nil, err
+	}
 	if !exact {
 		// The generator emitted something outside the encoding envelope;
 		// do not serve (or cache) a lossy recording.
-		return nil
+		return nil, nil
 	}
 	completed = true
 
@@ -303,5 +324,5 @@ func (s *Store) replay(p Program, totalInstrs uint64) *isa.Replay {
 	s.mu.Unlock()
 	close(ent.done)
 	s.storePersisted(key, rep)
-	return rep
+	return rep, nil
 }
